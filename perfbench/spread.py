@@ -32,12 +32,10 @@ def main():
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", default="1-10")
     ap.add_argument("--trace", default="0", choices=["0", "1"])
-    ap.add_argument("--seconds", type=int)
     args = ap.parse_args()
 
     with open("BENCHMARK.json") as f:
         bench = json.load(f)
-    seconds = args.seconds or bench["run_seconds"]
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
     failed = False
     for workload in args.workload:
@@ -45,7 +43,7 @@ def main():
         for seed in seeds_of(args.seeds):
             cmd = bench["command"] + [
                 "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", args.trace,
+                "--seconds", str(bench["run_seconds"]), "--trace", args.trace,
             ]
             run = subprocess.run(cmd, capture_output=True, text=True, timeout=900)
             sys.stderr.write(run.stdout + run.stderr)

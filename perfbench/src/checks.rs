@@ -10,10 +10,14 @@
 //!
 //! A check about a whole run (token totals, a validator rejection the
 //! span identities do not explain, an observed run that differs from the
-//! unobserved one) fails every request of that run. Failures are counted,
-//! never fatal: the run goes on and reports them.
+//! unobserved one) fails every request of that run. Requests a run leaves
+//! unfinished fail one each. Every failure but a span identity that does
+//! not close (a known defect, counted per request) also makes the result
+//! incorrect. Failures are counted, never fatal: the run goes on and
+//! reports them.
 
 use std::collections::BTreeSet;
+use std::fmt::Debug;
 
 use tdpipe_sim::RunReport;
 use tdpipe_spans::RequestSpan;
@@ -134,12 +138,18 @@ impl FailLedger {
 
     /// Check completion and token conservation of one run. `reused` is
     /// the prompt tokens a session run served from retained KV instead of
-    /// prefilling.
+    /// prefilling. A run that serves fewer requests than its trace asks
+    /// for fails each missing request and is a run-level problem.
     pub fn check_totals(&mut self, label: &str, got: Totals, want: Totals, reused: u64) {
         if got.requests < want.requests {
-            // The missing requests fail; the totals of a partial run
-            // cannot be held against the whole trace.
+            // The totals of a partial run cannot be held against the
+            // whole trace, so only the missing requests fail.
             self.unnamed += want.requests - got.requests;
+            self.problems.push(format!(
+                "{label}: {} of {} requests did not complete",
+                want.requests - got.requests,
+                want.requests
+            ));
             return;
         }
         if got.requests > want.requests
@@ -163,15 +173,28 @@ impl FailLedger {
         }
     }
 
-    /// Fail every span of `run` whose identities do not close, and count
-    /// spans missing from the journal. Returns the identity failures.
-    pub fn check_spans(&mut self, run: u32, spans: &[RequestSpan], incomplete: usize) -> u64 {
+    /// Fail every span of `run` whose identities do not close (the known
+    /// defect: per request, `correct` stays true). Requests the journal
+    /// never finished fail too, and are a run-level problem: the run
+    /// itself completed them. Returns the identity failures.
+    pub fn check_spans(
+        &mut self,
+        label: &str,
+        run: u32,
+        spans: &[RequestSpan],
+        incomplete: usize,
+    ) -> u64 {
         let mut broken = 0;
         for s in spans.iter().filter(|s| !s.identities_hold()) {
             self.fail_request(run, s.request);
             broken += 1;
         }
-        self.unnamed += incomplete as u64;
+        if incomplete > 0 {
+            self.unnamed += incomplete as u64;
+            self.problems.push(format!(
+                "{label}: {incomplete} requests have no finish in the journal"
+            ));
+        }
         broken
     }
 
@@ -195,88 +218,16 @@ impl FailLedger {
         }
     }
 
-    /// An observed run must report exactly what the unobserved run did.
-    pub fn check_neutral(
-        &mut self,
-        label: &str,
-        requests: u64,
-        plain: &RunReport,
-        observed: &RunReport,
-    ) {
-        let fields = differing_fields(plain, observed);
-        if !fields.is_empty() {
+    /// Two reports that must be equal field for field: an observed run
+    /// and its unobserved twin, or repeats of a deterministic run.
+    pub fn check_same<T: PartialEq + Debug>(&mut self, label: &str, requests: u64, a: &T, b: &T) {
+        if a != b {
             self.fail_run(
                 requests,
-                format!(
-                    "{label}: recording changed the report: {}",
-                    fields.join(", ")
-                ),
+                format!("{label}: reports differ:\n  {a:?}\n  {b:?}"),
             );
         }
     }
-
-    /// Repeats of a deterministic run must report the same thing.
-    pub fn check_repeat(
-        &mut self,
-        label: &str,
-        requests: u64,
-        first: &RunReport,
-        again: &RunReport,
-    ) {
-        let fields = differing_fields(first, again);
-        if !fields.is_empty() {
-            self.fail_run(
-                requests,
-                format!("{label}: a repeat reported different {}", fields.join(", ")),
-            );
-        }
-    }
-}
-
-/// Names of the [`RunReport`] fields on which `a` and `b` differ
-/// (bit-for-bit on floats).
-pub fn differing_fields(a: &RunReport, b: &RunReport) -> Vec<&'static str> {
-    let same = |x: f64, y: f64| x.to_bits() == y.to_bits();
-    let mut out = Vec::new();
-    let mut check = |ok: bool, name| {
-        if !ok {
-            out.push(name);
-        }
-    };
-    check(a.scheduler == b.scheduler, "scheduler");
-    check(same(a.makespan, b.makespan), "makespan");
-    check(a.num_requests == b.num_requests, "num_requests");
-    check(a.input_tokens == b.input_tokens, "input_tokens");
-    check(a.output_tokens == b.output_tokens, "output_tokens");
-    check(
-        a.recomputed_tokens == b.recomputed_tokens,
-        "recomputed_tokens",
-    );
-    check(a.swapped_tokens == b.swapped_tokens, "swapped_tokens");
-    check(a.phase_switches == b.phase_switches, "phase_switches");
-    check(
-        same(a.mean_utilization, b.mean_utilization),
-        "mean_utilization",
-    );
-    let latency_same = match (&a.latency, &b.latency) {
-        (Some(x), Some(y)) => [
-            (x.ttft_mean, y.ttft_mean),
-            (x.ttft_p50, y.ttft_p50),
-            (x.ttft_p95, y.ttft_p95),
-            (x.ttft_p99, y.ttft_p99),
-            (x.tpot_p50, y.tpot_p50),
-            (x.tpot_p95, y.tpot_p95),
-            (x.completion_mean, y.completion_mean),
-            (x.completion_p50, y.completion_p50),
-            (x.completion_p99, y.completion_p99),
-        ]
-        .iter()
-        .all(|&(p, q)| same(p, q)),
-        (None, None) => true,
-        _ => false,
-    };
-    check(latency_same, "latency");
-    out
 }
 
 #[cfg(test)]
@@ -353,13 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_requests_fail_one_each() {
+    fn incomplete_requests_fail_one_each_and_the_run_is_incorrect() {
         let mut l = FailLedger::default();
         l.open_run(WANT.requests);
         l.check_totals("run", Totals::of_report(&report(97, 4_800, 6_700)), WANT, 0);
         assert_eq!(l.failed(), 3);
         assert_eq!(l.fail_share(), 0.03);
-        assert!(l.correct());
+        assert!(!l.correct());
+        assert!(l.problems()[0].contains("3 of 100 requests did not complete"));
     }
 
     #[test]
@@ -395,14 +347,23 @@ mod tests {
         let mut l = FailLedger::default();
         let run = l.open_run(WANT.requests);
         let spans = [span(0, true), span(1, false), span(2, true), span(3, false)];
-        let broken = l.check_spans(run, &spans, 1);
+        let broken = l.check_spans("journal", run, &spans, 0);
         assert_eq!(broken, 2);
         l.check_validator("span report", 100, Err("request 1".into()), broken > 0);
-        assert_eq!(l.failed(), 3); // two broken spans + one incomplete
+        assert_eq!(l.failed(), 2);
         assert!(l.correct());
         // The same request failing twice counts once.
         l.fail_request(run, 1);
-        assert_eq!(l.failed(), 3);
+        assert_eq!(l.failed(), 2);
+    }
+
+    #[test]
+    fn a_journal_missing_finishes_is_incorrect() {
+        let mut l = FailLedger::default();
+        let run = l.open_run(WANT.requests);
+        l.check_spans("journal", run, &[span(0, true)], 2);
+        assert_eq!(l.failed(), 2);
+        assert!(!l.correct());
     }
 
     #[test]
@@ -429,20 +390,18 @@ mod tests {
     }
 
     #[test]
-    fn neutrality_names_the_differing_fields() {
+    fn differing_reports_fail_the_run_and_show_both() {
         let mut l = FailLedger::default();
         l.open_run(100);
         let plain = report(100, 5_000, 7_000);
         let mut observed = plain.clone();
-        l.check_neutral("observed", 100, &plain, &observed);
+        l.check_same("observed", 100, &plain, &observed);
         assert!(l.correct());
-        observed.makespan = f64::from_bits(observed.makespan.to_bits() + 1);
         observed.phase_switches += 1;
-        assert_eq!(
-            differing_fields(&plain, &observed),
-            ["makespan", "phase_switches"]
-        );
-        l.check_neutral("observed", 100, &plain, &observed);
+        l.check_same("observed", 100, &plain, &observed);
+        assert_eq!(l.failed(), 100);
         assert!(!l.correct());
+        assert!(l.problems()[0].contains("phase_switches: 2"));
+        assert!(l.problems()[0].contains("phase_switches: 3"));
     }
 }

@@ -65,6 +65,13 @@ impl Tracer {
     /// `calibrate` span (see [`crate::calibrate`]).
     pub fn begin_rep(&mut self, rep: usize) {
         self.set_rep(rep);
+        self.calibrate();
+    }
+
+    /// Time the calibration kernel as a `calibrate` span, between two
+    /// parts of a long repeat: each part is then scaled by the probes
+    /// around it.
+    pub fn calibrate(&mut self) {
         let secs = self.kernel.run();
         self.record(None, CALIBRATE, secs, 1);
     }
@@ -137,9 +144,15 @@ impl Tracer {
         median(&self.per_rep(name, |id, s| s.secs * self.scale_at(id)))
     }
 
-    /// Median time of the calibration kernel.
+    /// Median time of one run of the calibration kernel.
     pub fn median_calibration_secs(&self) -> f64 {
-        self.median_secs(CALIBRATE)
+        let probes: Vec<f64> = self
+            .spans
+            .iter()
+            .filter(|s| s.name == CALIBRATE)
+            .map(|s| s.secs)
+            .collect();
+        median(&probes)
     }
 
     fn scale_at(&self, id: SpanId) -> f64 {
@@ -342,6 +355,22 @@ mod tests {
             vec![0.5, 4.0 / 3.0]
         );
         assert_eq!(t.calibrated_median_secs("run"), (0.5 + 4.0 / 3.0) / 2.0);
+    }
+
+    #[test]
+    fn a_probe_inside_a_repeat_scales_each_part_by_its_own_neighbours() {
+        let r = calibrate::REFERENCE_S;
+        let mut t = Tracer::default();
+        t.record(None, CALIBRATE, r, 1);
+        t.record(None, "run", 1.0, 1);
+        t.record(None, CALIBRATE, r, 1);
+        t.record(None, "run", 2.0, 1);
+        t.record(None, CALIBRATE, 3.0 * r, 1);
+        // The first part ran at the reference speed, the second between
+        // probes averaging 2r.
+        assert_eq!(t.calibrated_median_secs("run"), 1.0 + 1.0);
+        // Each probe counts once, not summed per repeat.
+        assert_eq!(t.median_calibration_secs(), r);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Order statistics for repeated host-time samples.
+//! Order statistics for repeated host-time samples, and the geometric
+//! mean that pools the Figure 11 grid's cells.
 //!
 //! Host time on a shared machine is noisy, so every timing the benchmark
 //! reports is the median of several repeats, never the best of them.
@@ -48,6 +49,13 @@ pub fn quartiles(xs: &[f64]) -> [f64; 3] {
 pub fn spread(xs: &[f64]) -> f64 {
     let [q1, q2, q3] = quartiles(xs);
     (q3 - q1) / q2
+}
+
+/// Geometric mean of positive `xs`: every value counts equally, so
+/// scaling `k` of `n` values by `r` scales the mean by `r^(k/n)`. NaN for
+/// an empty slice.
+pub fn geomean(xs: &[f64]) -> f64 {
+    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 fn sorted(xs: &[f64]) -> Vec<f64> {
@@ -104,5 +112,16 @@ mod tests {
         let xs: Vec<f64> = (1..=10).map(f64::from).collect();
         assert_eq!(spread(&xs), (8.25 - 2.75) / 5.5);
         assert_eq!(spread(&[3.0, 3.0, 3.0]), 0.0);
+    }
+
+    #[test]
+    fn geomean_weighs_every_value_equally() {
+        assert!((geomean(&[1.0, 4.0, 16.0]) - 4.0).abs() < 1e-12);
+        // Halving one of four values moves the mean by 2^(-1/4).
+        let base = [3.0, 5.0, 7.0, 11.0];
+        let moved = [3.0, 5.0, 7.0, 5.5];
+        let ratio = geomean(&moved) / geomean(&base);
+        assert!((ratio - 0.5f64.powf(0.25)).abs() < 1e-12);
+        assert!(geomean(&[]).is_nan());
     }
 }

@@ -19,7 +19,7 @@ use super::{
     history, is_traced_rep, quiet_config, set_bucket_accuracy, set_core_counts, set_layer_timings,
     setup, sub_seed, train_predictor, Outcome, Params, Probes, Repeats, Stream,
 };
-use crate::checks::{differing_fields, FailLedger, Totals};
+use crate::checks::{FailLedger, Totals};
 use crate::probe::{TimedPredictor, Tracer};
 use crate::sheet::Sheet;
 
@@ -102,7 +102,7 @@ pub fn fleet_sessions(p: &Params) -> Outcome {
             tr.time("run", || run(&predictor)).0
         };
         match &first {
-            Some(f) => check_same(&mut ledger, "fleet_sessions repeat", turns, f, &out),
+            Some(f) => ledger.check_same("fleet_sessions repeat", turns, &f.report, &out.report),
             None => first = Some(out),
         }
     }
@@ -121,12 +121,11 @@ pub fn fleet_sessions(p: &Params) -> Outcome {
         };
         run_fleet_with_threads(&replicas(&cfg_rec), &workload, &cfg, &predictor, threads())
     };
-    check_same(
-        &mut ledger,
-        "fleet_sessions recorded",
+    ledger.check_same(
+        "fleet_sessions recording",
         turns,
-        &first,
-        &recorded,
+        &first.report,
+        &recorded.report,
     );
     let reused = check_recorded(&mut ledger, &recorded);
     let served = Totals {
@@ -182,48 +181,17 @@ pub fn fleet_sessions(p: &Params) -> Outcome {
     Outcome::new(sheet, ledger, &tr)
 }
 
-/// Two fleet runs of the same inputs must agree on every replica report
-/// and on the fleet's SLO figures.
-fn check_same(
-    ledger: &mut FailLedger,
-    label: &str,
-    turns: u64,
-    a: &FleetOutcome,
-    b: &FleetOutcome,
-) {
-    for (x, y) in a.report.replicas.iter().zip(&b.report.replicas) {
-        let fields = differing_fields(&x.report, &y.report);
-        if !fields.is_empty() {
-            ledger.fail_run(
-                turns,
-                format!(
-                    "{label}: replica {} differs in {}",
-                    x.label,
-                    fields.join(", ")
-                ),
-            );
-        }
-    }
-    if a.report.goodput.to_bits() != b.report.goodput.to_bits()
-        || a.report.slo_attainment.to_bits() != b.report.slo_attainment.to_bits()
-    {
-        ledger.fail_run(
-            turns,
-            format!("{label}: fleet goodput or attainment differs"),
-        );
-    }
-}
-
 /// Check the recorded run's span identities replica by replica and return
 /// the prompt tokens served from retained session KV.
 fn check_recorded(ledger: &mut FailLedger, recorded: &FleetOutcome) -> u64 {
     let mut reused = 0;
-    for out in &recorded.outcomes {
+    for (out, replica) in recorded.outcomes.iter().zip(&recorded.report.replicas) {
         // Request ids are per replica; the requests themselves were
         // already counted with the fleet.
         let run = ledger.open_run(0);
         let (spans, incomplete) = build_spans(&out.journal);
-        ledger.check_spans(run, &spans, incomplete);
+        let label = format!("fleet_sessions {} journal", replica.label);
+        ledger.check_spans(&label, run, &spans, incomplete);
         reused += out
             .journal
             .events()
