@@ -135,12 +135,21 @@ fn run(argv: &[String]) -> Result<String, String> {
     for (name, value, unit) in &metrics {
         println!("  {name:<34} {value:>18.6} {unit}");
     }
-    let [q1, q2, q3] = stats::quartiles(&out.run_samples);
     println!(
-        "  run repeats: {} untraced, unscaled quartiles {q1:.4} / {q2:.4} / {q3:.4} s \
-         (spread {:.3})",
-        out.run_samples.len(),
-        stats::spread(&out.run_samples)
+        "  run repeats: {} untraced, unscaled",
+        out.run_samples.len()
+    );
+    for (clock, samples) in [("wall", &out.run_samples), ("cpu", &out.run_cpu_samples)] {
+        let [q1, q2, q3] = stats::quartiles(samples);
+        println!(
+            "    {clock:<4} quartiles {q1:.4} / {q2:.4} / {q3:.4} s (spread {:.3})",
+            stats::spread(samples)
+        );
+    }
+    println!(
+        "  calibration kernel: mean {:.5} s of CPU (reference {} s)",
+        out.calibration_cpu,
+        calibrate::REFERENCE_S
     );
     let l = &out.ledger;
     println!(

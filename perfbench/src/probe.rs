@@ -38,14 +38,19 @@ pub struct Span {
     pub rep: usize,
     /// The span whose interval contains this one.
     pub parent: Option<SpanId>,
-    /// Host seconds.
+    /// Host (wall-clock) seconds.
     pub secs: f64,
+    /// CPU seconds (see [`crate::calibrate`]).
+    pub cpu: f64,
     /// Calls folded into this span (1 for a plain span).
     pub calls: u64,
 }
 
 /// Name of the spans that time the calibration kernel.
 const CALIBRATE: &str = "calibrate";
+
+/// An open span: its id, and the wall and CPU clocks at its start.
+pub type Open = (SpanId, Instant, f64);
 
 /// The benchmark's span log for one process.
 #[derive(Debug, Default)]
@@ -68,12 +73,12 @@ impl Tracer {
         self.calibrate();
     }
 
-    /// Time the calibration kernel as a `calibrate` span, between two
-    /// parts of a long repeat: each part is then scaled by the probes
-    /// around it.
-    pub fn calibrate(&mut self) {
-        let secs = self.kernel.run();
-        self.record(None, CALIBRATE, secs, 1);
+    /// Time the calibration kernel as a `calibrate` span (its CPU time).
+    fn calibrate(&mut self) {
+        let start = Instant::now();
+        let cpu = self.kernel.run();
+        let id = self.record(None, CALIBRATE, start.elapsed().as_secs_f64(), 1);
+        self.spans[id].cpu = cpu;
     }
 
     /// Time `f` as a top-level span.
@@ -81,28 +86,50 @@ impl Tracer {
         self.time_in(None, name, f)
     }
 
-    /// Time `f` as a span nested in `parent` (or top-level for `None`).
+    /// Time `f` as a span nested in `parent` (or top-level for `None`),
+    /// on the calling thread's CPU clock.
     pub fn time_in<R>(
         &mut self,
         parent: Option<SpanId>,
         name: &'static str,
         f: impl FnOnce() -> R,
     ) -> (R, SpanId) {
+        self.timed(parent, name, calibrate::thread_cpu_secs, f)
+    }
+
+    /// Time `f`, which runs on several threads, as a top-level span on
+    /// the process's CPU clock.
+    pub fn time_threads<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> (R, SpanId) {
+        self.timed(None, name, calibrate::process_cpu_secs, f)
+    }
+
+    fn timed<R>(
+        &mut self,
+        parent: Option<SpanId>,
+        name: &'static str,
+        cpu_clock: fn() -> f64,
+        f: impl FnOnce() -> R,
+    ) -> (R, SpanId) {
+        let cpu = cpu_clock();
         let start = Instant::now();
         let out = f();
         let secs = start.elapsed().as_secs_f64();
-        (out, self.record(parent, name, secs, 1))
+        let id = self.record(parent, name, secs, 1);
+        self.spans[id].cpu = cpu_clock() - cpu;
+        (out, id)
     }
 
-    /// Open a span whose body needs the tracer itself; close it with
-    /// [`Self::end`].
-    pub fn begin(&mut self, parent: Option<SpanId>, name: &'static str) -> (SpanId, Instant) {
-        (self.record(parent, name, 0.0, 1), Instant::now())
+    /// Open a span whose body needs the tracer itself (timed on the
+    /// calling thread's CPU clock); close it with [`Self::end`].
+    pub fn begin(&mut self, parent: Option<SpanId>, name: &'static str) -> Open {
+        let id = self.record(parent, name, 0.0, 1);
+        (id, Instant::now(), calibrate::thread_cpu_secs())
     }
 
     /// Close a span opened by [`Self::begin`].
-    pub fn end(&mut self, (id, start): (SpanId, Instant)) {
+    pub fn end(&mut self, (id, start, cpu): Open) {
         self.spans[id].secs = start.elapsed().as_secs_f64();
+        self.spans[id].cpu = calibrate::thread_cpu_secs() - cpu;
     }
 
     /// Record a span measured elsewhere (a folded [`CallStats`]).
@@ -118,6 +145,7 @@ impl Tracer {
             rep: self.rep,
             parent,
             secs,
+            cpu: 0.0,
             calls,
         });
         self.spans.len() - 1
@@ -136,30 +164,25 @@ impl Tracer {
         median(&self.per_rep(name, |_, s| s.secs))
     }
 
-    /// Median over repeats of the per-repeat total time of `name`, each
-    /// span scaled to the reference host speed by the calibration spans
-    /// recorded just before and just after it: the host-time statistic of
-    /// the end-to-end metrics.
-    pub fn calibrated_median_secs(&self, name: &str) -> f64 {
-        median(&self.per_rep(name, |id, s| s.secs * self.scale_at(id)))
+    /// Median over repeats of the per-repeat CPU time of `name`, scaled
+    /// to the reference host speed by the mean CPU time of the process's
+    /// calibration kernel runs: the host-time statistic of the end-to-end
+    /// metrics (see [`crate::calibrate`]).
+    pub fn calibrated_median_cpu(&self, name: &str) -> f64 {
+        median(&self.per_rep(name, |_, s| s.cpu)) * calibrate::REFERENCE_S
+            / self.mean_calibration_cpu()
     }
 
-    /// Median time of one run of the calibration kernel.
-    pub fn median_calibration_secs(&self) -> f64 {
+    /// Mean CPU time of one run of the calibration kernel; NaN if it
+    /// never ran.
+    pub fn mean_calibration_cpu(&self) -> f64 {
         let probes: Vec<f64> = self
             .spans
             .iter()
             .filter(|s| s.name == CALIBRATE)
-            .map(|s| s.secs)
+            .map(|s| s.cpu)
             .collect();
-        median(&probes)
-    }
-
-    fn scale_at(&self, id: SpanId) -> f64 {
-        let probe = |s: &Span| (s.name == CALIBRATE).then_some(s.secs);
-        let before = self.spans[..id].iter().rev().find_map(probe);
-        let after = self.spans[id + 1..].iter().find_map(probe);
-        calibrate::scale(before, after)
+        probes.iter().sum::<f64>() / probes.len() as f64
     }
 
     /// Median over repeats of the per-repeat self time of `name`.
@@ -338,39 +361,43 @@ mod tests {
         assert_eq!(t.per_rep("cell", |_, s| s.secs), vec![3.0, 5.0]);
     }
 
-    #[test]
-    fn calibrated_times_scale_by_the_neighbouring_probes() {
-        let r = calibrate::REFERENCE_S;
-        let mut t = Tracer::default();
-        t.record(None, CALIBRATE, r, 1);
-        t.record(None, "run", 1.0, 1);
-        t.record(None, CALIBRATE, 3.0 * r, 1);
-        t.set_rep(1);
-        t.record(None, "run", 4.0, 1);
-        t.record(None, CALIBRATE, 3.0 * r, 1);
-        // Repeat 0 ran between probes averaging 2r (half the reference
-        // speed), repeat 1 between two probes of 3r.
-        assert_eq!(
-            t.per_rep("run", |id, s| s.secs * t.scale_at(id)),
-            vec![0.5, 4.0 / 3.0]
-        );
-        assert_eq!(t.calibrated_median_secs("run"), (0.5 + 4.0 / 3.0) / 2.0);
+    /// Record a span with the given CPU seconds.
+    fn record_cpu(t: &mut Tracer, name: &'static str, cpu: f64) {
+        let id = t.record(None, name, 2.0 * cpu, 1);
+        t.spans[id].cpu = cpu;
     }
 
     #[test]
-    fn a_probe_inside_a_repeat_scales_each_part_by_its_own_neighbours() {
+    fn calibrated_times_scale_cpu_by_the_mean_probe() {
         let r = calibrate::REFERENCE_S;
         let mut t = Tracer::default();
-        t.record(None, CALIBRATE, r, 1);
-        t.record(None, "run", 1.0, 1);
-        t.record(None, CALIBRATE, r, 1);
-        t.record(None, "run", 2.0, 1);
-        t.record(None, CALIBRATE, 3.0 * r, 1);
-        // The first part ran at the reference speed, the second between
-        // probes averaging 2r.
-        assert_eq!(t.calibrated_median_secs("run"), 1.0 + 1.0);
-        // Each probe counts once, not summed per repeat.
-        assert_eq!(t.median_calibration_secs(), r);
+        record_cpu(&mut t, CALIBRATE, r);
+        record_cpu(&mut t, "run", 1.0);
+        record_cpu(&mut t, "run", 0.5);
+        t.set_rep(1);
+        record_cpu(&mut t, CALIBRATE, 3.0 * r);
+        record_cpu(&mut t, "run", 4.0);
+        t.set_rep(2);
+        record_cpu(&mut t, CALIBRATE, 2.0 * r);
+        record_cpu(&mut t, "run", 2.0);
+        // The kernel ran at half the reference speed on average; the
+        // per-repeat CPU sums are 1.5, 4 and 2, the wall sums twice that.
+        assert_eq!(t.mean_calibration_cpu(), 2.0 * r);
+        assert_eq!(t.calibrated_median_cpu("run"), 1.0);
+        assert_eq!(t.median_secs("run"), 4.0);
+    }
+
+    #[test]
+    fn spans_read_both_clocks() {
+        let mut t = Tracer::default();
+        t.begin_rep(0);
+        let (_, id) = t.time("run", || Kernel::default().run());
+        let open = t.begin(None, "run");
+        t.end(open);
+        let (_, all) = t.time_threads("fleet", || ());
+        assert!(t.spans[id].secs > 0.0 && t.spans[id].cpu > 0.0);
+        assert!(t.spans[all].cpu >= 0.0);
+        assert!(t.mean_calibration_cpu() > 0.0);
     }
 
     #[test]

@@ -208,8 +208,8 @@ pub fn fig11_grid(p: &Params) -> Outcome {
     }
     let first = first.expect("at least one repeat");
 
-    sheet.set("setup_s", tr.calibrated_median_secs("setup"));
-    sheet.set("run_s", tr.calibrated_median_secs("run"));
+    sheet.set("setup_s", tr.calibrated_median_cpu("setup"));
+    sheet.set("run_s", tr.calibrated_median_cpu("run"));
     set_sim_grid(&mut sheet, &first);
     if p.traced {
         set_layer_timings(&mut sheet, &tr, "td_pipe.traced");

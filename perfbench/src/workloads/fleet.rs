@@ -95,11 +95,11 @@ pub fn fleet_sessions(p: &Params) -> Outcome {
         tr.begin_rep(rep);
         let out = if is_traced_rep(p, rep) {
             let timed = TimedPredictor::new(&predictor, &probes.predict);
-            let (out, span) = tr.time("run.traced", || run(&timed));
+            let (out, span) = tr.time_threads("run.traced", || run(&timed));
             tr.fold(span, "predictor.predict", &probes.predict);
             out
         } else {
-            tr.time("run", || run(&predictor)).0
+            tr.time_threads("run", || run(&predictor)).0
         };
         match &first {
             Some(f) => ledger.check_same("fleet_sessions repeat", turns, &f.report, &out.report),
@@ -139,8 +139,8 @@ pub fn fleet_sessions(p: &Params) -> Outcome {
     ledger.check_totals("fleet_sessions", served, asked, reused);
 
     let r = &first.report;
-    sheet.set("setup_s", tr.calibrated_median_secs("setup"));
-    sheet.set("run_s", tr.calibrated_median_secs("run"));
+    sheet.set("setup_s", tr.calibrated_median_cpu("setup"));
+    sheet.set("run_s", tr.calibrated_median_cpu("run"));
     sheet.set("sim_throughput_tok_s", r.throughput_total());
     sheet.set("sim_goodput_req_s", r.goodput);
     sheet.set("sim_slo_attainment", r.slo_attainment);

@@ -68,16 +68,21 @@ pub struct Outcome {
     pub ledger: FailLedger,
     /// Unscaled host seconds of each untraced repeat.
     pub run_samples: Vec<f64>,
+    /// Unscaled CPU seconds of each untraced repeat.
+    pub run_cpu_samples: Vec<f64>,
+    /// Mean CPU seconds of one calibration kernel run.
+    pub calibration_cpu: f64,
 }
 
 impl Outcome {
     /// Finish a workload run: the run samples come from the `run` spans.
     pub fn new(sheet: Sheet, ledger: FailLedger, tr: &Tracer) -> Self {
-        let run_samples = tr.per_rep("run", |_, s| s.secs);
         Outcome {
             sheet,
             ledger,
-            run_samples,
+            run_samples: tr.per_rep("run", |_, s| s.secs),
+            run_cpu_samples: tr.per_rep("run", |_, s| s.cpu),
+            calibration_cpu: tr.mean_calibration_cpu(),
         }
     }
 }
@@ -320,7 +325,7 @@ pub fn set_layer_timings(sheet: &mut Sheet, tr: &Tracer, engine: &str) {
         set_if_measured(sheet, "core.self_s", tr.median_self_secs(engine));
     }
     set_if_measured(sheet, "bench.wall_run_s", tr.median_secs("run"));
-    set_if_measured(sheet, "bench.calibration_s", tr.median_calibration_secs());
+    set_if_measured(sheet, "bench.calibration_s", tr.mean_calibration_cpu());
     set_if_measured(
         sheet,
         "bench.trace_overhead_s",

@@ -83,8 +83,8 @@ pub fn offline_td(p: &Params) -> Outcome {
     }
     let first = first.expect("at least one repeat");
 
-    sheet.set("setup_s", tr.calibrated_median_secs("setup"));
-    sheet.set("run_s", tr.calibrated_median_secs("run"));
+    sheet.set("setup_s", tr.calibrated_median_cpu("setup"));
+    sheet.set("run_s", tr.calibrated_median_cpu("run"));
     set_sim_offline(&mut sheet, &first);
     if p.traced {
         set_layer_timings(&mut sheet, &tr, "run.traced");
@@ -221,13 +221,10 @@ pub fn offline_observed(p: &Params) -> Outcome {
     for rep in Repeats::new(p) {
         tr.begin_rep(rep);
         let traced = is_traced_rep(p, rep);
-        // The observed run and its report stage are both timed as `run`
-        // spans (summed per repeat): what recording, serialising and
-        // analysing cost is what this workload measures. A repeat lasts
-        // seconds, so a calibration probe between the two scales each
-        // part by the host speed around it.
-        let name = if traced { "run.traced" } else { "run" };
-        let span = tr.begin(None, name);
+        // The observed run and its report stage are timed as one `run`
+        // span: what recording, serialising and analysing cost is what
+        // this workload measures.
+        let span = tr.begin(None, if traced { "run.traced" } else { "run" });
         let s = Some(span.0);
         let out = if traced {
             observed.run_traced(&mut tr, s, "engine.traced", &trace, &predictor, &probes)
@@ -235,9 +232,6 @@ pub fn offline_observed(p: &Params) -> Outcome {
             tr.time_in(s, "engine", || observed.run(&trace, &predictor))
                 .0
         };
-        tr.end(span);
-        tr.calibrate();
-        let span = tr.begin(None, name);
         let reports = report_stage(&mut tr, span.0, &out);
         tr.end(span);
         if let Some(f) = &first {
@@ -262,8 +256,8 @@ pub fn offline_observed(p: &Params) -> Outcome {
     }
     let first = first.expect("at least one repeat");
 
-    sheet.set("setup_s", tr.calibrated_median_secs("setup"));
-    sheet.set("run_s", tr.calibrated_median_secs("run"));
+    sheet.set("setup_s", tr.calibrated_median_cpu("setup"));
+    sheet.set("run_s", tr.calibrated_median_cpu("run"));
     set_sim_offline(&mut sheet, &first);
     if p.traced {
         set_layer_timings(&mut sheet, &tr, "engine.traced");
