@@ -468,13 +468,14 @@ impl EngineMetrics {
             reg.set(g, timeline.utilization(d));
         }
         if !timeline.segments().is_empty() {
-            for d in 0..timeline.num_devices() as u32 {
-                let comm: f64 = timeline
-                    .segments()
-                    .iter()
-                    .filter(|s| s.device == d && s.kind == SegmentKind::Comm)
-                    .map(|s| s.end - s.start)
-                    .sum();
+            // One pass, per-device append order; -0.0 is `f64: Sum`'s seed.
+            let mut comm_per_device = vec![-0.0; timeline.num_devices()];
+            for s in timeline.segments() {
+                if s.kind == SegmentKind::Comm {
+                    comm_per_device[s.device as usize] += s.end - s.start;
+                }
+            }
+            for (d, comm) in comm_per_device.into_iter().enumerate() {
                 let stage = d.to_string();
                 let g = reg.gauge(
                     "stage_comm_seconds",
@@ -504,29 +505,29 @@ impl EngineMetrics {
 /// timeline segments (empty when `record_timeline` was off). Interval
 /// `[k·dt, (k+1)·dt)` gets the fraction of it the stage spent busy,
 /// stamped at `k·dt` — the same virtual-time grid as the live sampler.
+/// One pass over the segments ([`Timeline::busy_per_window`]).
 pub fn stage_busy_series(timeline: &Timeline, dt: f64) -> Vec<Series> {
     if timeline.segments().is_empty() {
         return Vec::new();
     }
-    let span = timeline.makespan();
-    let mut out = Vec::new();
-    for d in 0..timeline.num_devices() as u32 {
-        let mut points = Vec::new();
-        let mut t = 0.0;
-        while t < span {
-            let busy = timeline.busy_in_window(d, t, t + dt);
-            points.push(SeriesPoint {
-                t,
-                v: (busy / dt).clamp(0.0, 1.0),
-            });
-            t += dt;
-        }
-        out.push(Series {
+    let windows = timeline.busy_per_window(dt);
+    windows
+        .busy
+        .iter()
+        .enumerate()
+        .map(|(d, totals)| Series {
             name: format!("series_stage_busy_fraction_{d}"),
-            points,
-        });
-    }
-    out
+            points: windows
+                .starts
+                .iter()
+                .zip(totals)
+                .map(|(&t, &busy)| SeriesPoint {
+                    t,
+                    v: (busy / dt).clamp(0.0, 1.0),
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::pipeline::{PipelineSim, TransferMode};
 use crate::queue::EventQueue;
-use crate::timeline::SegmentKind;
+use crate::timeline::{SegmentKind, Timeline};
 use proptest::prelude::*;
 
 /// A job stream: per-job (ready, per-stage exec times).
@@ -103,5 +103,44 @@ proptest! {
             last_t = t;
             last_seq_at_t = seq;
         }
+    }
+}
+
+/// Segments on up to four devices as `(device, start, length, snap)`,
+/// appended in random order: some zero-length, some spanning many
+/// windows. `snap` 0 moves the start onto the window grid, 1 the end.
+fn arb_segments() -> impl Strategy<Value = Vec<(u32, f64, f64, u32)>> {
+    let len = prop_oneof![Just(0.0), 0.0f64..0.4, 0.0f64..12.0];
+    prop::collection::vec((0u32..4, 0.0f64..8.0, len, 0u32..4), 0..80)
+}
+
+proptest! {
+    #[test]
+    fn window_sweep_matches_the_per_window_scan(
+        segments in arb_segments(),
+        dt in prop::sample::select(vec![0.1, 0.3, 0.7, 1.0]),
+        agg in 0.0f64..40.0,
+    ) {
+        // The last grid point at or below `x`, accumulated as the sweep does.
+        let on_grid = |x: f64| {
+            let mut t = 0.0;
+            while t + dt <= x {
+                t += dt;
+            }
+            t
+        };
+        let mut tl = Timeline::new(true);
+        for (i, &(device, start, len, snap)) in segments.iter().enumerate() {
+            let (start, end) = match snap {
+                0 => (on_grid(start), on_grid(start) + len),
+                1 => (start, on_grid(start + len).max(start)),
+                _ => (start, start + len),
+            };
+            tl.record(device, start, end, SegmentKind::Decode, i as u64);
+        }
+        // Device 4 only ever reports aggregate busy time.
+        tl.record_busy(4, agg / 2.0, 0.0, agg);
+        let fast = tl.busy_per_window(dt);
+        prop_assert_eq!(fast.to_bits(), tl.busy_per_window_by_scan(dt).to_bits());
     }
 }

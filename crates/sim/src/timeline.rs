@@ -43,6 +43,30 @@ pub struct Segment {
     pub tag: u64,
 }
 
+/// Busy seconds per device per window of a fixed grid; see
+/// [`Timeline::busy_per_window`].
+#[derive(Debug, Clone)]
+pub struct WindowedBusy {
+    /// Window start times: `0, dt, dt + dt, …` while below the makespan.
+    pub starts: Vec<f64>,
+    /// `busy[device][k]`: busy seconds of `device` in window `k`.
+    pub busy: Vec<Vec<f64>>,
+}
+
+#[cfg(test)]
+impl WindowedBusy {
+    /// Every grid point and window total as bits, for exact comparison.
+    pub(crate) fn to_bits(&self) -> (Vec<u64>, Vec<Vec<u64>>) {
+        (
+            self.starts.iter().map(|t| t.to_bits()).collect(),
+            self.busy
+                .iter()
+                .map(|row| row.iter().map(|b| b.to_bits()).collect())
+                .collect(),
+        )
+    }
+}
+
 /// An append-only log of busy segments across devices.
 ///
 /// Recording can be disabled for long benchmark runs where only aggregate
@@ -177,6 +201,10 @@ impl Timeline {
 
     /// Busy time of `device` clipped to a window (needed for steady-state
     /// utilization that excludes warm-up and drain).
+    ///
+    /// Each call scans every recorded segment, so this is for a handful
+    /// of windows, not for a per-window loop over the run; use
+    /// [`Timeline::busy_per_window`] for a whole grid.
     pub fn busy_in_window(&self, device: u32, t0: f64, t1: f64) -> f64 {
         self.segments
             .iter()
@@ -185,8 +213,78 @@ impl Timeline {
             .sum()
     }
 
+    /// Busy seconds per device in every window of a fixed grid over
+    /// `[0, makespan)`, in one pass over the segments: O(segments ·
+    /// log windows + devices · windows) when a device's segments do not
+    /// overlap.
+    ///
+    /// Window `k` is `[starts[k], starts[k] + dt]`, with `starts` built by
+    /// accumulating `t += dt` from zero. Each total is bit-identical to
+    /// [`Timeline::busy_in_window`] on that window: segments are visited
+    /// in append order, so every window sums the same terms in the same
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if `dt` is not positive.
+    pub fn busy_per_window(&self, dt: f64) -> WindowedBusy {
+        assert!(dt > 0.0, "window width must be positive");
+        let span = self.makespan();
+        let mut starts = Vec::new();
+        let mut t = 0.0;
+        while t < span {
+            starts.push(t);
+            t += dt;
+        }
+        // `f64: Sum` folds from -0.0 and every segment of a device adds a
+        // term (+0.0 when disjoint) to each window, so an idle window reads
+        // +0.0 on a device with segments and -0.0 on one without.
+        let mut has_segments = vec![false; self.num_devices()];
+        for s in &self.segments {
+            has_segments[s.device as usize] = true;
+        }
+        let mut busy: Vec<Vec<f64>> = has_segments
+            .iter()
+            .map(|&has| vec![if has { 0.0 } else { -0.0 }; starts.len()])
+            .collect();
+        for s in &self.segments {
+            let first = starts.partition_point(|&t0| t0 + dt <= s.start);
+            let row = &mut busy[s.device as usize][first..];
+            for (&t0, total) in starts[first..].iter().zip(row) {
+                if t0 >= s.end {
+                    break;
+                }
+                *total += (s.end.min(t0 + dt) - s.start.max(t0)).max(0.0);
+            }
+        }
+        WindowedBusy { starts, busy }
+    }
+
+    /// Reference for [`Timeline::busy_per_window`]: the per-window scan
+    /// it replaces, one [`Timeline::busy_in_window`] call per device per
+    /// window.
+    #[cfg(test)]
+    pub(crate) fn busy_per_window_by_scan(&self, dt: f64) -> WindowedBusy {
+        let span = self.makespan();
+        let mut starts = Vec::new();
+        let mut t = 0.0;
+        while t < span {
+            starts.push(t);
+            t += dt;
+        }
+        let busy = (0..self.num_devices() as u32)
+            .map(|d| {
+                starts
+                    .iter()
+                    .map(|&t0| self.busy_in_window(d, t0, t0 + dt))
+                    .collect()
+            })
+            .collect();
+        WindowedBusy { starts, busy }
+    }
+
     /// Mean utilization across devices within `[t0, t1]`. Requires segment
-    /// recording.
+    /// recording. Scans every segment once per device, so like
+    /// [`Timeline::busy_in_window`] it is not for per-window loops.
     pub fn mean_utilization_in_window(&self, t0: f64, t1: f64) -> f64 {
         assert!(
             self.record_segments,
@@ -242,6 +340,46 @@ mod tests {
         t.record(1, 1.0, 2.0, SegmentKind::Decode, 0);
         // Window [1, 3]: dev0 busy 2.0, dev1 busy 1.0 → (2+1)/(2*2)=0.75.
         assert!((t.mean_utilization_in_window(1.0, 3.0) - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn window_sweep_matches_the_per_window_scan_bit_for_bit() {
+        let mut t = Timeline::new(true);
+        // Out-of-order appends on device 0, one spanning many windows.
+        t.record(0, 5.0, 6.25, SegmentKind::Decode, 0);
+        t.record(0, 1.05, 4.3, SegmentKind::Prefill, 1);
+        t.record(0, 2.95, 3.05, SegmentKind::Decode, 2);
+        // Window [0, 1] sums 0.3 + 0.04 + 0.05 in this order to
+        // 0.38999999999999996; in start order it would be 0.39.
+        t.record(0, 0.2, 0.5, SegmentKind::Decode, 7);
+        t.record(0, 0.04, 0.08, SegmentKind::Decode, 8);
+        t.record(0, 0.11, 0.16, SegmentKind::Decode, 9);
+        // Zero-length segments, on and off a grid point.
+        t.record(1, 1.0, 1.0, SegmentKind::Decode, 3);
+        t.record(1, 0.7, 0.7, SegmentKind::Decode, 4);
+        // Ends exactly on an edge of the accumulated 0.1 and 0.3 grids.
+        let edge = |dt: f64, k: usize| (0..k).fold(0.0, |t, _| t + dt);
+        t.record(1, 0.15, edge(0.1, 7), SegmentKind::Comm, 5);
+        t.record(1, edge(0.3, 4), edge(0.3, 11), SegmentKind::Hybrid, 6);
+        // Device 2 has nothing; device 3 only aggregate busy time.
+        t.record_busy(3, 1.5, 0.0, 9.0);
+        for dt in [0.1, 0.3, 1.0] {
+            let fast = t.busy_per_window(dt);
+            assert_eq!(fast.to_bits(), t.busy_per_window_by_scan(dt).to_bits());
+            assert_eq!(fast.busy.len(), 4);
+            // An idle window keeps the scan's sign of zero.
+            for idle in &fast.busy[2..] {
+                assert!(idle.iter().all(|b| b.to_bits() == (-0.0f64).to_bits()));
+            }
+            assert_eq!(fast.busy[0].last().unwrap().to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn window_sweep_of_an_empty_timeline_is_empty() {
+        let t = Timeline::new(true);
+        let w = t.busy_per_window(1.0);
+        assert!(w.starts.is_empty() && w.busy.is_empty());
     }
 
     #[test]

@@ -18,26 +18,32 @@
 #      the baseline deliberately when a change is intentional:
 #        target/release/tdpipe-cli run --scheduler td --requests 200 \
 #          --metrics-out metrics.baseline.json)
-#   7. online-sessions smoke: a short Poisson open-loop run and a
+#   7. metered run at scale: two identical 100k-request metered runs,
+#      each under a 20 s timeout, must metrics-diff clean against each
+#      other. The 200-request gate above cannot see a metering cost that
+#      grows faster than the run: one such run takes about a second with
+#      the one-pass per-stage busy series and over a minute if it goes
+#      back to rescanning the timeline per grid window.
+#   8. online-sessions smoke: a short Poisson open-loop run and a
 #      closed-loop session run (session-KV reuse on) through the CLI;
 #      both Chrome-trace exports must pass the schema validator, and two
 #      identical metered session runs must metrics-diff clean against
 #      each other (the online path is deterministic and the diff tool
 #      understands the session counters).
-#   8. fleet smoke: a 2-replica heterogeneous (l20+a100) routed run
+#   9. fleet smoke: a 2-replica heterogeneous (l20+a100) routed run
 #      through the CLI with per-replica Chrome-trace exports (both must
 #      pass the schema validator), and two identical metered fleet runs
 #      that must metrics-diff clean against each other (the fleet router,
 #      parallel replica execution, and replica-labelled metrics merge are
 #      all deterministic).
-#   9. perf-trajectory smoke: a quick (200-request, 1-rep, no scale
+#  10. perf-trajectory smoke: a quick (200-request, 1-rep, no scale
 #      cells) perf_trajectory run into a temp file, schema-validated with
 #      `perf_trajectory --check`, plus the same check against the
 #      committed BENCH_hotpath.json. Catches harness bitrot and
 #      hand-edited/truncated trajectory files; it does NOT gate on times
 #      (CI machines are too noisy — regenerate BENCH_hotpath.json
 #      deliberately with `cargo run --release --bin perf_trajectory`).
-#  10. span/bubble attribution smoke: a traced run exporting its raw
+#  11. span/bubble attribution smoke: a traced run exporting its raw
 #      journal (`--journal-out`), then `span-report` and `bubble-report`
 #      over it (plus a 2-replica fleet journal set merged under replica
 #      labels); every emitted report must pass its own `--check` schema
@@ -57,7 +63,7 @@ scripts/analyze.sh
 
 step "build (release)"
 # --workspace: a root-only build does not (re)link the bench-crate
-# binaries, and step 7 runs one.
+# binaries, and step 10 runs one.
 cargo build --release --workspace
 
 step "tests (workspace)"
@@ -78,6 +84,15 @@ target/release/tdpipe-cli run --scheduler td --requests 200 \
   --metrics-out "$trace_tmp/run.metrics.json"
 target/release/tdpipe-cli metrics-diff \
   --baseline metrics.baseline.json --current "$trace_tmp/run.metrics.json"
+
+step "metered run at scale (100k requests, linear-cost metrics)"
+for run in a b; do
+  timeout 20 target/release/tdpipe-cli run --scheduler td --requests 100000 \
+    --metrics-out "$trace_tmp/scale.$run.metrics.json"
+done
+target/release/tdpipe-cli metrics-diff \
+  --baseline "$trace_tmp/scale.a.metrics.json" \
+  --current "$trace_tmp/scale.b.metrics.json"
 
 step "online-sessions smoke (poisson arrivals + session-KV reuse)"
 target/release/tdpipe-cli run --scheduler td --requests 120 \
@@ -157,4 +172,4 @@ target/release/tdpipe-cli bubble-report \
   --out "$trace_tmp/fleet.bubbles.json" > /dev/null
 target/release/tdpipe-cli bubble-report --check "$trace_tmp/fleet.bubbles.json"
 
-printf '\nci OK: build + tests + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke all green\n'
+printf '\nci OK: build + tests + smoke + trace export + metrics gate + metered run at scale + sessions smoke + fleet smoke + perf smoke + span/bubble smoke all green\n'

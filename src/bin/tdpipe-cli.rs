@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use tdpipe::baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
 use tdpipe::core::config::EngineConfig;
+use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::fleet::{
     parse_pool, run_fleet, FleetConfig, FleetOutcome, FleetWorkload, Replica, ReplicaSpec,
@@ -350,6 +351,45 @@ fn run_sessions_cmd(
         sessions.len(),
         if reuse { "on" } else { "off" }
     );
+    write_recordings(&out, trace_out, journal_out)?;
+    let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
+    Ok((out.report, metrics))
+}
+
+/// `run --trace-out/--journal-out`: a recorded TD-Pipe run, offline or
+/// on the sampled `arrivals`, with its recordings written out.
+#[allow(clippy::too_many_arguments)]
+fn run_td_recorded_cmd(
+    model: &ModelSpec,
+    node: &NodeSpec,
+    trace: &Trace,
+    arrivals: &[f64],
+    predictor: &dyn OutputLenPredictor,
+    record_metrics: bool,
+    trace_out: Option<&str>,
+    journal_out: Option<&str>,
+) -> Result<(RunReport, MetricsSnapshot), String> {
+    let out = run_td_instrumented(
+        model,
+        node,
+        trace,
+        arrivals,
+        predictor,
+        true,
+        record_metrics,
+    )?;
+    write_recordings(&out, trace_out, journal_out)?;
+    let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
+    Ok((out.report, metrics))
+}
+
+/// Write a recorded run's Chrome trace (`--trace-out`) and raw journal
+/// (`--journal-out`).
+fn write_recordings(
+    out: &RunOutcome,
+    trace_out: Option<&str>,
+    journal_out: Option<&str>,
+) -> Result<(), String> {
     if let Some(path) = trace_out {
         std::fs::write(path, chrome_trace(&out.timeline, &out.journal))
             .map_err(|e| format!("--trace-out {path}: {e}"))?;
@@ -364,8 +404,7 @@ fn run_sessions_cmd(
             .map_err(|e| format!("--journal-out {path}: {e}"))?;
         println!("journal: {} event(s) -> {path}", out.journal.len());
     }
-    let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
-    Ok((out.report, metrics))
+    Ok(())
 }
 
 /// A TD-Pipe run with the flight recorder (and, when `timeline` is set,
@@ -376,19 +415,21 @@ fn run_td_traced(
     trace: &Trace,
     predictor: &dyn OutputLenPredictor,
     timeline: bool,
-) -> Result<tdpipe::core::engine::RunOutcome, String> {
-    run_td_instrumented(model, node, trace, predictor, timeline, false)
+) -> Result<RunOutcome, String> {
+    run_td_instrumented(model, node, trace, &[], predictor, timeline, false)
 }
 
-/// [`run_td_traced`] with the metrics plane optionally switched on too.
+/// [`run_td_traced`] with per-request arrival times (empty: offline) and
+/// the metrics plane optionally switched on too.
 fn run_td_instrumented(
     model: &ModelSpec,
     node: &NodeSpec,
     trace: &Trace,
+    arrivals: &[f64],
     predictor: &dyn OutputLenPredictor,
     timeline: bool,
     metrics: bool,
-) -> Result<tdpipe::core::engine::RunOutcome, String> {
+) -> Result<RunOutcome, String> {
     let cfg = TdPipeConfig {
         engine: EngineConfig {
             record_trace: true,
@@ -400,7 +441,7 @@ fn run_td_instrumented(
     };
     Ok(TdPipeEngine::new(model.clone(), node, cfg)
         .map_err(|e| e.to_string())?
-        .run(trace, predictor))
+        .run_with_arrivals(trace, arrivals, predictor))
 }
 
 /// `run --replicas/--pool/--router`: route one workload across a replica
@@ -567,6 +608,10 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
             let arrival_kind = args.get("arrival", "offline");
             let rate = args.f64("rate", 8.0)?;
             let arrival = arrival_of(&arrival_kind, rate, seed ^ 0xA881)?;
+            let arrivals = match arrival {
+                ArrivalProcess::Offline => Vec::new(),
+                p => p.sample(trace.len()),
+            };
             let fleet_mode = ["replicas", "pool", "router"]
                 .iter()
                 .any(|k| args.opt(k).is_some());
@@ -620,10 +665,6 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                     );
                     outcome
                 } else {
-                    let arrivals = match arrival {
-                        ArrivalProcess::Offline => Vec::new(),
-                        p => p.sample(trace.len()),
-                    };
                     run_fleet_cmd(
                         &pool_spec,
                         gpus,
@@ -685,29 +726,17 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                          (got --scheduler {scheduler})"
                     ));
                 }
-                let out =
-                    run_td_instrumented(&model, &node, &trace, predictor, true, want_metrics)?;
-                if let Some(path) = args.opt("trace-out") {
-                    std::fs::write(path, chrome_trace(&out.timeline, &out.journal))
-                        .map_err(|e| format!("--trace-out {path}: {e}"))?;
-                    println!(
-                        "trace: {} engine events + {} timeline segments -> {path}",
-                        out.journal.events().len(),
-                        out.timeline.segments().len()
-                    );
-                }
-                if let Some(path) = args.opt("journal-out") {
-                    std::fs::write(path, out.journal.to_json())
-                        .map_err(|e| format!("--journal-out {path}: {e}"))?;
-                    println!("journal: {} event(s) -> {path}", out.journal.len());
-                }
-                let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
-                (out.report, metrics)
+                run_td_recorded_cmd(
+                    &model,
+                    &node,
+                    &trace,
+                    &arrivals,
+                    predictor,
+                    want_metrics,
+                    args.opt("trace-out"),
+                    args.opt("journal-out"),
+                )?
             } else {
-                let arrivals = match arrival {
-                    ArrivalProcess::Offline => Vec::new(),
-                    p => p.sample(trace.len()),
-                };
                 run_one(
                     &scheduler,
                     &model,
@@ -981,6 +1010,26 @@ mod tests {
         // The decision table renders a header plus one row per phase.
         let table = decision_table(&out.journal);
         assert!(table.lines().count() >= 1 + out.report.phase_switches as usize);
+    }
+
+    /// `--trace-out`/`--journal-out` record the run that was asked for:
+    /// a recorded Poisson run reports exactly what the unrecorded one
+    /// does, not the offline run.
+    #[test]
+    fn recorded_run_keeps_its_arrivals() {
+        let trace = ShareGptLikeConfig::small(48, 5).generate();
+        let model = model_of("13b").unwrap();
+        let node = node_of("l20", 2).unwrap();
+        let arrivals = arrival_of("poisson", 8.0, 5).unwrap().sample(trace.len());
+        let predictor = &OraclePredictor;
+        let record = |arrivals: &[f64]| {
+            run_td_recorded_cmd(&model, &node, &trace, arrivals, predictor, true, None, None)
+                .unwrap()
+                .0
+        };
+        let (plain, _) = run_one("td", &model, &node, &trace, &arrivals, predictor, false).unwrap();
+        assert_eq!(record(&arrivals), plain);
+        assert_ne!(record(&[]), plain, "the arrivals shape the run");
     }
 
     #[test]

@@ -6,10 +6,12 @@
 use tdpipe::baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
 use tdpipe::core::config::EngineConfig;
 use tdpipe::core::engine::RunOutcome;
+use tdpipe::core::metrics::stage_busy_series;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::metrics::{
-    default_rules, diff_snapshots, to_prom, validate_prom, MetricValue, MetricsSnapshot,
+    default_rules, diff_snapshots, to_prom, validate_prom, MetricValue, MetricsSnapshot, Series,
+    SeriesPoint, DEFAULT_INTERVAL,
 };
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
@@ -123,6 +125,62 @@ fn snapshot_carries_the_run_headlines_and_series() {
         })
         .sum();
     assert_eq!(phases, out.phases.len() as f64);
+}
+
+/// The per-stage busy series of a real metered run equals, bit for bit,
+/// the definition it was first computed by: one full
+/// `Timeline::busy_in_window` scan per device per grid interval on the
+/// accumulated `t += dt` grid.
+#[test]
+fn stage_busy_series_matches_the_per_window_scan_on_a_real_run() {
+    let trace = ShareGptLikeConfig::small(2_000, 13).generate();
+    let out = run(
+        &trace,
+        EngineConfig {
+            record_timeline: true,
+            ..metered_cfg()
+        },
+    );
+    let tl = &out.timeline;
+    let dt = DEFAULT_INTERVAL;
+    let reference: Vec<Series> = (0..tl.num_devices() as u32)
+        .map(|d| {
+            let mut points = Vec::new();
+            let mut t = 0.0;
+            while t < tl.makespan() {
+                let busy = tl.busy_in_window(d, t, t + dt);
+                points.push(SeriesPoint {
+                    t,
+                    v: (busy / dt).clamp(0.0, 1.0),
+                });
+                t += dt;
+            }
+            Series {
+                name: format!("series_stage_busy_fraction_{d}"),
+                points,
+            }
+        })
+        .collect();
+    let bits = |series: &[Series]| -> Vec<(String, Vec<(u64, u64)>)> {
+        series
+            .iter()
+            .map(|s| {
+                let points = s.points.iter().map(|p| (p.t.to_bits(), p.v.to_bits()));
+                (s.name.clone(), points.collect())
+            })
+            .collect()
+    };
+    assert!(tl.segments().len() > 10_000, "a run at scale");
+    assert_eq!(bits(&stage_busy_series(tl, dt)), bits(&reference));
+    // The exported snapshot carries exactly those series.
+    let exported: Vec<Series> = out
+        .metrics
+        .series
+        .iter()
+        .filter(|s| s.name.starts_with("series_stage_busy_fraction_"))
+        .cloned()
+        .collect();
+    assert_eq!(bits(&exported), bits(&reference));
 }
 
 #[test]
