@@ -185,7 +185,7 @@ impl TpHbEngine {
                 SegmentKind::Prefill
             };
             let timing = sim.launch_monolithic(now, t, kind, 0);
-            now = ctrl.process(timing.finish, decode_b + chunks.len());
+            now = ctrl.process(timing.finish, decode_b + completed.len());
 
             st.advance_decode_ctx(&mut lane, &mut residents, timing.finish, &mut ctx);
             for &idx in &completed {
