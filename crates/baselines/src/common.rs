@@ -1,32 +1,19 @@
-//! Plumbing shared by the four baseline engines.
+//! Lanes, admission and decode bookkeeping for the baseline engine.
 //!
 //! The unit of admission is a [`Lane`]: one scheduler instance's private
 //! view of memory and its private queue of not-yet-prefilled requests.
-//! Tensor-parallel engines have a single lane; pipeline-parallel engines
-//! have one lane per virtual engine, with requests bound to a lane up
-//! front and KV blocks divided evenly — mirroring vLLM 0.5.x, where each
-//! virtual engine owns `num_gpu_blocks / pp` and requests never migrate
-//! between schedulers. (That static binding is precisely the inter-batch
+//! The tensor layout has a single lane; the pipeline layout has one lane
+//! per virtual engine, with requests bound to a lane up front and KV
+//! blocks divided evenly — mirroring vLLM 0.5.x, where each virtual
+//! engine owns `num_gpu_blocks / pp` and requests never migrate between
+//! schedulers. (That static binding is precisely the inter-batch
 //! imbalance TD-Pipe's work stealing repairs.)
 
 use std::collections::{BinaryHeap, VecDeque};
 use tdpipe_core::cohort::{CohortMembers, DecodeCohort};
 use tdpipe_core::config::EngineConfig;
-use tdpipe_core::cost::StagedJob;
 use tdpipe_core::request::{Lifecycle, RequestPool};
 use tdpipe_kvcache::BlockAllocator;
-
-/// Per-run scratch buffers reused across scheduler iterations so the
-/// steady-state baseline loops allocate nothing per launch.
-#[derive(Default)]
-pub struct Scratch {
-    /// Prefill sequence lengths for the next launch.
-    pub lens: Vec<u32>,
-    /// Hybrid-batching `(chunk_len, cached_prefix)` pairs.
-    pub chunks: Vec<(u32, u32)>,
-    /// Staged pipeline job reused across launches.
-    pub job: StagedJob,
-}
 
 /// One scheduler instance's memory + admission queue.
 pub struct Lane {
@@ -148,23 +135,10 @@ impl RunState {
     /// Pack a separate-batching prefill batch from `lane`'s queue, up to
     /// `token_budget` tokens and `max_new` sequences, stopping early when
     /// memory runs out or the head has not yet arrived by `now`. Returns
-    /// `(pool indices, sequence lengths)`.
+    /// the pool indices and writes their sequence lengths into the
+    /// caller-owned `lens` (the batch itself travels into the engine's
+    /// in-flight queue).
     pub fn pack_prefill_batch(
-        &mut self,
-        lane: &mut Lane,
-        token_budget: u32,
-        max_new: usize,
-        now: f64,
-    ) -> (Vec<usize>, Vec<u32>) {
-        let mut lens = Vec::new();
-        let batch = self.pack_prefill_batch_into(lane, token_budget, max_new, now, &mut lens);
-        (batch, lens)
-    }
-
-    /// [`Self::pack_prefill_batch`] writing the sequence lengths into a
-    /// caller-owned scratch buffer (the batch itself is returned by value —
-    /// it travels into the engine's in-flight queue).
-    pub fn pack_prefill_batch_into(
         &mut self,
         lane: &mut Lane,
         token_budget: u32,
@@ -489,7 +463,8 @@ mod tests {
     fn packing_respects_token_budget_and_memory() {
         let mut st = state(50);
         let mut lane = single_lane(&st, 100_000);
-        let (batch, lens) = st.pack_prefill_batch(&mut lane, 1024, usize::MAX, 0.0);
+        let mut lens = Vec::new();
+        let batch = st.pack_prefill_batch(&mut lane, 1024, usize::MAX, 0.0, &mut lens);
         assert!(!batch.is_empty());
         let total: u32 = lens.iter().sum();
         assert!(total <= 2048 || batch.len() == 1);
@@ -502,7 +477,7 @@ mod tests {
     fn memory_exhaustion_stops_admission() {
         let mut st = state(50);
         let mut lane = single_lane(&st, 10); // 160 tokens of KV
-        let (batch, _) = st.pack_prefill_batch(&mut lane, u32::MAX, usize::MAX, 0.0);
+        let batch = st.pack_prefill_batch(&mut lane, u32::MAX, usize::MAX, 0.0, &mut Vec::new());
         assert!(batch.len() < 50, "tiny pool cannot admit everything");
         assert!(!st.head_fits(&lane));
     }

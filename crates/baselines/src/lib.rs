@@ -1,19 +1,32 @@
-//! Baseline schedulers the paper compares TD-Pipe against (§4.1):
+//! Baseline schedulers the paper compares TD-Pipe against (§4.1).
 //!
-//! * [`TpSbEngine`] — **TP+SB**: tensor parallelism + separate batching,
-//!   vLLM's default. Every layer pays two all-reduces; prefill batches and
-//!   decode steps never mix. The whole node advances in lockstep, so there
-//!   are no pipeline bubbles — the cost is communication.
-//! * [`TpHbEngine`] — **TP+HB**: tensor parallelism + hybrid batching with
-//!   chunked prefill (Sarathi-style): every iteration carries all resident
-//!   decodes plus prefill chunks up to a token budget.
-//! * [`PpSbEngine`] — **PP+SB**: pipeline parallelism + separate batching:
-//!   `num_stages` scheduler slots (vLLM's virtual engines) each alternate
-//!   prefill and decode jobs that chase each other through the pipeline.
-//!   Prefill/decode imbalance between slots produces the Figure 1 bubbles.
-//! * [`PpHbEngine`] — **PP+HB**: pipeline parallelism + chunked-prefill
-//!   hybrid batching: slots issue token-budgeted hybrid iterations, which
-//!   balances stages better but pays chunked prefill's repeated KV reads.
+//! The paper's four baselines are one vLLM engine set two ways, and so is
+//! this crate: one [`BaselineEngine`] over a [`Layout`] and a [`Batching`]
+//! policy.
+//!
+//! |                      | separate batching (SB)  | hybrid batching (HB)    |
+//! |----------------------|-------------------------|-------------------------|
+//! | **tensor (TP)**      | [`TpSbEngine`]          | [`TpHbEngine`]          |
+//! | **pipeline (PP)**    | [`PpSbEngine`]          | [`PpHbEngine`]          |
+//!
+//! * The **layout** owns the memory plan, the cost model, the number of
+//!   scheduler lanes and the simulated devices. TP shards every layer and
+//!   pays two all-reduces per layer; the node advances in lockstep, so it
+//!   is one lane on one device with no pipeline bubbles — its cost is
+//!   communication. PP runs `num_stages` lanes (vLLM's virtual engines)
+//!   whose jobs chase each other through the stages; prefill/decode
+//!   imbalance between lanes produces the Figure 1 bubbles.
+//! * The **batching policy** decides how an idle slot fills its next job.
+//!   SB (vLLM's default) runs a prefill-only batch when the lane's head
+//!   fits, otherwise one decode step. HB (Sarathi-style chunked prefill)
+//!   runs every resident decode plus prefill chunks up to a token budget,
+//!   which balances stages but pays chunked prefill's repeated KV reads.
+//!
+//! One driver runs all four: a round robin over the slots that keeps at
+//! most `pp_inflight_limit` jobs in flight, and one completion handler
+//! that advances the decoded residents, admits the finished prompts and
+//! charges the control plane for both. The named engines are thin
+//! constructors that fix the two parameters.
 //!
 //! All four run on the same cost models, KV allocator, eviction policy and
 //! pipeline simulator as TD-Pipe — the only differences are the scheduling
@@ -22,12 +35,9 @@
 #![forbid(unsafe_code)]
 
 pub mod common;
-pub mod pp_hb;
-pub mod pp_sb;
-pub mod tp_hb;
-pub mod tp_sb;
+mod engine;
 
-pub use pp_hb::PpHbEngine;
-pub use pp_sb::PpSbEngine;
-pub use tp_hb::TpHbEngine;
-pub use tp_sb::TpSbEngine;
+pub use engine::{
+    BaselineEngine, BaselineOutcome, Batching, Layout, PpHbEngine, PpSbEngine, TpHbEngine,
+    TpSbEngine,
+};

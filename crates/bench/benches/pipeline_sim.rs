@@ -3,7 +3,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tdpipe_runtime::{Cluster, JobSpec};
-use tdpipe_sim::{EventQueue, PipelineSim, SegmentKind, TransferMode};
+use std::time::Duration;
+use tdpipe_sim::{PipelineSim, SegmentKind, TransferMode};
+
+/// Generous bound on any one cluster wait; a healthy run never nears it.
+const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn bench_sim(c: &mut Criterion) {
     c.bench_function("pipeline_launch_4stage", |b| {
@@ -28,37 +32,28 @@ fn bench_sim(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("event_queue_push_pop", |b| {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for i in 0..1000 {
-            q.push(i as f64, i);
-        }
-        let mut t = 1000.0;
-        b.iter(|| {
-            t += 1.0;
-            q.push(t, 0);
-            black_box(q.pop())
-        })
-    });
-
     // Real threads: 1000 jobs through the 4-worker hierarchy-controller
     // (measures channel + virtual-clock overhead per job).
     c.bench_function("threaded_cluster_1000_jobs", |b| {
         b.iter(|| {
-            let cluster = Cluster::spawn(4, TransferMode::Async);
+            let mut cluster = Cluster::spawn(4, TransferMode::Async);
             for id in 0..1000u64 {
-                cluster.launch(JobSpec {
-                    id,
-                    ready: 0.0,
-                    exec: vec![0.01; 4],
-                    xfer: vec![0.001; 3],
-                    kind: SegmentKind::Decode,
-                });
+                cluster
+                    .launch(JobSpec {
+                        id,
+                        ready: 0.0,
+                        exec: vec![0.01; 4],
+                        xfer: vec![0.001; 3],
+                        kind: SegmentKind::Decode,
+                    })
+                    .expect("healthy cluster accepts jobs");
             }
             for _ in 0..1000 {
-                cluster.completions().recv().unwrap();
+                cluster
+                    .next_completion(TIMEOUT)
+                    .expect("healthy cluster completes every job");
             }
-            cluster.shutdown()
+            cluster.shutdown(TIMEOUT).expect("healthy cluster shuts down")
         })
     });
 }

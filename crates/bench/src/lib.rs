@@ -10,7 +10,7 @@
 
 use serde::Serialize;
 use std::path::PathBuf;
-use tdpipe_baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
+use tdpipe_baselines::{BaselineEngine, Batching, Layout};
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::engine::RunOutcome;
 use tdpipe_core::{TdPipeConfig, TdPipeEngine};
@@ -90,6 +90,17 @@ impl Scheduler {
             Scheduler::TdPipe => "TD-Pipe",
         }
     }
+
+    /// The layout and batching policy of a baseline; `None` for TD-Pipe.
+    pub const fn baseline(self) -> Option<(Layout, Batching)> {
+        match self {
+            Scheduler::TpSb => Some((Layout::Tensor, Batching::Separate)),
+            Scheduler::TpHb => Some((Layout::Tensor, Batching::Hybrid)),
+            Scheduler::PpSb => Some((Layout::Pipeline, Batching::Separate)),
+            Scheduler::PpHb => Some((Layout::Pipeline, Batching::Hybrid)),
+            Scheduler::TdPipe => None,
+        }
+    }
 }
 
 /// Run one scheduler on one configuration. Returns `None` when the model
@@ -101,23 +112,7 @@ pub fn run_scheduler<P: OutputLenPredictor + ?Sized>(
     trace: &Trace,
     predictor: &P,
 ) -> Option<RunReport> {
-    let cfg = EngineConfig::default();
-    match which {
-        Scheduler::TpSb => TpSbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run(trace, predictor).report),
-        Scheduler::TpHb => TpHbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run(trace, predictor).report),
-        Scheduler::PpSb => PpSbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run(trace, predictor).report),
-        Scheduler::PpHb => PpHbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run(trace, predictor).report),
-        Scheduler::TdPipe => run_tdpipe(model, node, trace, predictor, TdPipeConfig::default())
-            .map(|o| o.report),
-    }
+    run_scheduler_with_arrivals(which, model, node, trace, &[], predictor)
 }
 
 /// [`run_scheduler`] with per-request arrival times (the online
@@ -133,21 +128,17 @@ pub fn run_scheduler_with_arrivals<P: OutputLenPredictor + ?Sized>(
     arrivals: &[f64],
     predictor: &P,
 ) -> Option<RunReport> {
-    let cfg = EngineConfig::default();
-    match which {
-        Scheduler::TpSb => TpSbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        Scheduler::TpHb => TpHbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        Scheduler::PpSb => PpSbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        Scheduler::PpHb => PpHbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        Scheduler::TdPipe => TdPipeEngine::new(model.clone(), node, TdPipeConfig::default())
+    match which.baseline() {
+        Some((layout, batching)) => BaselineEngine::new(
+            layout,
+            batching,
+            model.clone(),
+            node,
+            EngineConfig::default(),
+        )
+        .ok()
+        .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
+        None => TdPipeEngine::new(model.clone(), node, TdPipeConfig::default())
             .ok()
             .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
     }

@@ -37,7 +37,7 @@
 //! cohort and replay the step through the per-member loop (the TD
 //! engine), or walk just the members growing a block this step —
 //! [`DecodeCohort::member_grows`] — settling only the victims (the
-//! PP+SB baseline); both reproduce the eviction schedule exactly.
+//! baseline engine); both reproduce the eviction schedule exactly.
 
 /// Shared per-request bookkeeping for any number of [`DecodeCohort`]s,
 /// indexed by pool id.

@@ -1,7 +1,6 @@
 //! Property tests over the pipeline simulator's invariants.
 
 use crate::pipeline::{PipelineSim, TransferMode};
-use crate::queue::EventQueue;
 use crate::timeline::{SegmentKind, Timeline};
 use proptest::prelude::*;
 
@@ -85,24 +84,6 @@ proptest! {
             prop_assert!((tl.busy_time(d) - expect).abs() < 1e-9);
         }
         prop_assert!(tl.mean_utilization() <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn event_queue_is_a_stable_sorter(events in prop::collection::vec((0.0f64..100.0, 0u32..1000), 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &(t, v)) in events.iter().enumerate() {
-            q.push(t, (i, v));
-        }
-        let mut last_t = f64::NEG_INFINITY;
-        let mut last_seq_at_t = 0usize;
-        while let Some((t, (seq, _))) = q.pop() {
-            prop_assert!(t >= last_t);
-            if t == last_t {
-                prop_assert!(seq > last_seq_at_t, "FIFO tie-break violated");
-            }
-            last_t = t;
-            last_seq_at_t = seq;
-        }
     }
 }
 

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use tdpipe::baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
+use tdpipe::baselines::{BaselineEngine, Batching, Layout};
 use tdpipe::core::config::EngineConfig;
 use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
@@ -194,6 +194,16 @@ fn node_of(name: &str, gpus: u32) -> Result<NodeSpec, String> {
     })
 }
 
+fn baseline_of(name: &str) -> Result<(Layout, Batching), String> {
+    Ok(match name {
+        "tp-sb" => (Layout::Tensor, Batching::Separate),
+        "tp-hb" => (Layout::Tensor, Batching::Hybrid),
+        "pp-sb" => (Layout::Pipeline, Batching::Separate),
+        "pp-hb" => (Layout::Pipeline, Batching::Hybrid),
+        other => return Err(format!("unknown scheduler '{other}'")),
+    })
+}
+
 fn run_one(
     scheduler: &str,
     model: &ModelSpec,
@@ -227,31 +237,13 @@ fn run_one(
             let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
             (out.report, metrics)
         }
-        "tp-sb" => {
-            let out = TpSbEngine::new(model.clone(), node, cfg)
+        other => {
+            let (layout, batching) = baseline_of(other)?;
+            let out = BaselineEngine::new(layout, batching, model.clone(), node, cfg)
                 .map_err(feasibility)?
                 .run_with_arrivals(trace, arrivals, predictor);
             (out.report, out.metrics)
         }
-        "tp-hb" => {
-            let out = TpHbEngine::new(model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            (out.report, out.metrics)
-        }
-        "pp-sb" => {
-            let out = PpSbEngine::new(model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            (out.report, out.metrics)
-        }
-        "pp-hb" => {
-            let out = PpHbEngine::new(model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            (out.report, out.metrics)
-        }
-        other => return Err(format!("unknown scheduler '{other}'")),
     })
 }
 
