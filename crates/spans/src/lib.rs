@@ -9,7 +9,8 @@
 //!    scheduler queueing, launch-overhead wait, prefill execution,
 //!    eviction stalls, recompute, decode — as a [`RequestSpan`] whose
 //!    components sum **bit-exactly** to the reported TTFT and latency
-//!    (three pinned fold identities; see [`span`]).
+//!    (three pinned fold identities, exact by construction because every
+//!    journal time is snapped to a `2^-30` s grid; see [`span`]).
 //! 2. **Where did the fleet's idle seconds go?** [`attribute_bubbles`]
 //!    charges every journalled `StageIdle` gap to one of eight
 //!    [`BubbleCause`]s — warm-up, drain, arrival starvation,
@@ -49,4 +50,4 @@ pub use report::{
     span_table, validate_bubble_report, validate_span_report, Analysis, BubbleReport,
     BubbleReportCheck, ReplicaAnalysis, SpanReport, SpanReportCheck, REPORT_VERSION,
 };
-pub use span::{build_spans, close_component, fold_seconds, RequestSpan, SpanComponents};
+pub use span::{build_spans, fold_seconds, snap, RequestSpan, SpanComponents};

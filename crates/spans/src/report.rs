@@ -5,7 +5,9 @@
 //!
 //! * **span report** — per-replica [`RequestSpan`] lists plus fleet
 //!   component totals; [`validate_span_report`] re-derives every span
-//!   identity and the totals fold and rejects any bit of drift.
+//!   identity and the totals fold and rejects any bit of drift. The
+//!   identities are exact by grid: span times are multiples of `2^-30` s
+//!   (see [`crate::span`]), so no closure is ever off by an ulp.
 //! * **bubble report** — per-replica [`BubbleLedger`]s and critical
 //!   paths plus fleet per-cause totals; [`validate_bubble_report`]
 //!   refolds every device's idle total from the gap list.
@@ -357,8 +359,10 @@ fn span_tid(replica_idx: usize, request: u64) -> u64 {
 
 /// Export the analysis as a Chrome trace with one track per request:
 /// the seven span components laid end-to-end from the request's arrival
-/// (durations clamped at 0 for display — the closure components can be
-/// a few ulps negative). Passes [`tdpipe_trace::validate_chrome_trace`].
+/// (durations clamped at 0 for display — in online runs `queue` can be
+/// slightly negative, because admission is journalled at the packing
+/// clock, which can precede an arrival that lands within the launch
+/// overhead). Passes [`tdpipe_trace::validate_chrome_trace`].
 pub fn span_chrome_trace(analysis: &Analysis) -> String {
     let mut events: Vec<Value> = Vec::new();
     for (ri, r) in analysis.replicas.iter().enumerate() {

@@ -4,18 +4,21 @@
 //! admission → executor launch → prefill completion → decode (with
 //! eviction/recompute stalls) → finish — into named duration components
 //! that **sum exactly** to the reported latency figures. Exactness is by
-//! construction, not tolerance: every component set designates one
-//! *closure* component defined as `target - fold(others)` (nudged within
-//! a few ulps so the canonical left fold lands bit-exactly on the
-//! target), while every other component is a direct timestamp
-//! difference. The pinned identities are:
+//! construction, not tolerance: [`build_spans`] snaps every journal time
+//! once to the grid of `2^-30` s ([`snap`]). Every span quantity is then
+//! a multiple of `2^-30` below `2^23` s, i.e. an integer count of grid
+//! ticks below `2^53`, so each difference and each partial sum of the
+//! fold is an exact `f64`. Every component set designates one *closure*
+//! component, `target - fold(others)`; the other components are direct
+//! timestamp differences. The pinned identities are:
 //!
 //! 1. `fold([queue, prefill_wait, prefill_exec]) == ttft`
 //! 2. `fold([stall_pending, recompute, decode_active]) == decode_total`
 //! 3. `fold(all seven components, struct order) == latency`
 //!
 //! where `fold` is [`fold_seconds`] (a left fold from `+0.0`) and `==`
-//! is exact `f64` equality.
+//! is exact `f64` equality. On the grid the third closure, `residual`,
+//! is always `+0.0`.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -23,51 +26,19 @@ use tdpipe_trace::{AdmitReason, FlightRecorder, TraceEvent};
 
 /// Canonical accumulation order for span identities: a left fold from
 /// `+0.0`. Both the builder's closure components and the validator use
-/// this exact fold, which is what makes the identities bit-exact.
+/// this fold.
 pub fn fold_seconds(parts: &[f64]) -> f64 {
     parts.iter().fold(0.0, |acc, &x| acc + x)
 }
 
-/// Smallest representable step up from `x` (finite inputs).
-fn next_after_up(x: f64) -> f64 {
-    if x == 0.0 {
-        return f64::from_bits(1);
-    }
-    let b = x.to_bits();
-    f64::from_bits(if x > 0.0 { b + 1 } else { b - 1 })
-}
+/// Ticks per second of the span grid.
+const GRID: f64 = (1u64 << 30) as f64;
 
-/// Smallest representable step down from `x` (finite inputs).
-fn next_after_down(x: f64) -> f64 {
-    if x == 0.0 {
-        return -f64::from_bits(1);
-    }
-    let b = x.to_bits();
-    f64::from_bits(if x > 0.0 { b - 1 } else { b + 1 })
-}
-
-/// The closure component: a `c` such that `partial + c == target`
-/// exactly. `target - partial` is the right value up to one rounding;
-/// when `partial + (target - partial)` misses `target` by an ulp the
-/// candidate is nudged (deterministically) until the fold identity
-/// holds. Pure `f64` arithmetic — bit-stable across platforms.
-pub fn close_component(target: f64, partial: f64) -> f64 {
-    let c0 = target - partial;
-    if partial + c0 == target {
-        return c0;
-    }
-    let (mut up, mut down) = (c0, c0);
-    for _ in 0..4 {
-        up = next_after_up(up);
-        if partial + up == target {
-            return up;
-        }
-        down = next_after_down(down);
-        if partial + down == target {
-            return down;
-        }
-    }
-    c0
+/// `t` rounded to the nearest multiple of `2^-30` s (about 0.93 ns).
+/// Exact for `|t| < 2^23` s: scaling by a power of two and rounding to
+/// an integer below `2^53` lose nothing.
+pub fn snap(t: f64) -> f64 {
+    (t * GRID).round() / GRID
 }
 
 /// The named duration components of one request's lifecycle.
@@ -75,7 +46,7 @@ pub fn close_component(target: f64, partial: f64) -> f64 {
 /// Direct measurements: `queue`, `prefill_wait`, `stall_pending`,
 /// `recompute`. Closures (see module docs): `prefill_exec` (against
 /// TTFT), `decode_active` (against the decode total), `residual`
-/// (against end-to-end latency; float dust, at most a few ulps).
+/// (against end-to-end latency; always `+0.0` on the span grid).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpanComponents {
     /// Arrival → first prefill admission (scheduler queueing).
@@ -90,7 +61,8 @@ pub struct SpanComponents {
     pub recompute: f64,
     /// Token generation (closure against `finish - first_token`).
     pub decode_active: f64,
-    /// Closure against end-to-end latency; ±ulps of float dust.
+    /// Closure against end-to-end latency; `+0.0` on the span grid, kept
+    /// so the report schema can show the third identity closing.
     pub residual: f64,
 }
 
@@ -196,7 +168,8 @@ impl Default for Build {
 /// Reconstruct per-request spans from a journal. Returns the spans
 /// (sorted by request id) plus the number of requests whose lifecycle
 /// was incomplete in the journal (no `RequestFinish` — e.g. a journal
-/// from a run that was cut short) and therefore skipped.
+/// from a run that was cut short) and therefore skipped. Every journal
+/// time is [`snap`]ped before use, so span times sit on the grid.
 pub fn build_spans(journal: &FlightRecorder) -> (Vec<RequestSpan>, usize) {
     let mut builds: BTreeMap<u64, Build> = BTreeMap::new();
     // The launch-ready instant of the prefill batch currently being
@@ -204,8 +177,9 @@ pub fn build_spans(journal: &FlightRecorder) -> (Vec<RequestSpan>, usize) {
     // events; `PrefillStop` terminates the batch.
     let mut cur_launch: Option<f64> = None;
     for e in journal.events() {
+        let t = snap(e.t);
         match e.event {
-            TraceEvent::PrefillLaunch { ready, .. } => cur_launch = Some(ready),
+            TraceEvent::PrefillLaunch { ready, .. } => cur_launch = Some(snap(ready)),
             TraceEvent::PrefillStop { .. } => cur_launch = None,
             TraceEvent::PrefillAdmit {
                 request, reason, ..
@@ -213,38 +187,38 @@ pub fn build_spans(journal: &FlightRecorder) -> (Vec<RequestSpan>, usize) {
                 let b = builds.entry(request).or_default();
                 if b.admit.is_nan() {
                     // First admission: anchors queue + prefill-wait.
-                    b.admit = e.t;
+                    b.admit = t;
                     b.batch_ready = match reason {
                         // Swap-ins re-enter via a host-link transfer, not
                         // a prefill batch: no launch-overhead wait.
-                        AdmitReason::SwapIn => e.t,
-                        _ => cur_launch.unwrap_or(e.t),
+                        AdmitReason::SwapIn => t,
+                        _ => cur_launch.unwrap_or(t),
                     };
                 } else {
                     // Re-admission after an eviction closes the pending
                     // stall; a recompute admission opens a recompute
                     // episode that its `PrefillDone` will close.
                     if !b.evicted_at.is_nan() {
-                        b.stall_pending += e.t - b.evicted_at;
+                        b.stall_pending += t - b.evicted_at;
                         b.evicted_at = f64::NAN;
                     }
                     if !matches!(reason, AdmitReason::SwapIn) {
-                        b.recompute_open = e.t;
+                        b.recompute_open = t;
                     }
                 }
             }
             TraceEvent::PrefillDone { request } => {
                 let b = builds.entry(request).or_default();
                 if b.first_token.is_nan() {
-                    b.first_token = e.t;
+                    b.first_token = t;
                 } else if !b.recompute_open.is_nan() {
-                    b.recompute += e.t - b.recompute_open;
+                    b.recompute += t - b.recompute_open;
                     b.recompute_open = f64::NAN;
                 }
             }
             TraceEvent::Evict { victim, .. } => {
                 let b = builds.entry(victim).or_default();
-                b.evicted_at = e.t;
+                b.evicted_at = t;
                 b.evictions += 1;
             }
             TraceEvent::SessionReuseHit { request, .. } => {
@@ -259,12 +233,12 @@ pub fn build_spans(journal: &FlightRecorder) -> (Vec<RequestSpan>, usize) {
                 first_token,
             } => {
                 let b = builds.entry(request).or_default();
-                b.arrival = arrival;
+                b.arrival = snap(arrival);
                 // Authoritative (the engine's set-once stamp); the
                 // journal-side `PrefillDone` guard can only differ by
                 // completion-time jitter that never occurs in practice.
-                b.first_token = first_token;
-                b.finish = e.t;
+                b.first_token = snap(first_token);
+                b.finish = t;
             }
             _ => {}
         }
@@ -282,22 +256,19 @@ pub fn build_spans(journal: &FlightRecorder) -> (Vec<RequestSpan>, usize) {
         let latency = b.finish - b.arrival;
         let queue = b.admit - b.arrival;
         let prefill_wait = b.batch_ready - b.admit;
-        let prefill_exec = close_component(ttft, fold_seconds(&[queue, prefill_wait]));
+        let prefill_exec = ttft - fold_seconds(&[queue, prefill_wait]);
         let stall_pending = b.stall_pending;
         let recompute = b.recompute;
-        let decode_active =
-            close_component(decode_total, fold_seconds(&[stall_pending, recompute]));
-        let residual = close_component(
-            latency,
-            fold_seconds(&[
+        let decode_active = decode_total - fold_seconds(&[stall_pending, recompute]);
+        let residual = latency
+            - fold_seconds(&[
                 queue,
                 prefill_wait,
                 prefill_exec,
                 stall_pending,
                 recompute,
                 decode_active,
-            ]),
-        );
+            ]);
         spans.push(RequestSpan {
             request,
             arrival: b.arrival,
@@ -442,19 +413,52 @@ mod tests {
     }
 
     #[test]
-    fn close_component_fixes_the_fold_identity() {
-        // Adversarial magnitudes where `target - partial` rounds.
-        let cases = [
-            (1e16, 3.0),
-            (0.1, 0.30000000000000004),
-            (1.0, 1e-17),
-            (12345.6789, 0.000123),
-            (2.0, 2.0),
-            (5.0, 7.5), // partial exceeding target → negative closure
-        ];
-        for (target, partial) in cases {
-            let c = close_component(target, partial);
-            assert_eq!(partial + c, target, "target={target} partial={partial}");
+    fn grid_times_close_every_identity() {
+        // Request 444 of a 20k-request run: queue 21.45018651996412 s and
+        // prefill wait 1.4282944275069624 s against a TTFT of
+        // 98.2153954923164 s. Off the grid no f64 `c` makes
+        // `(queue + prefill_wait) + c == ttft`. On it, all three
+        // identities hold and the residual is exactly +0.0.
+        let (arrival, admit, ready, first, finish) = (
+            0.0,
+            21.45018651996412,
+            22.878480947471083,
+            98.2153954923164,
+            120.0,
+        );
+        let mut r = FlightRecorder::with_capacity(8);
+        r.record(
+            admit,
+            TraceEvent::PrefillLaunch {
+                seq: 1,
+                batch: 1,
+                tokens: 8,
+                ready,
+            },
+        );
+        r.record(
+            admit,
+            TraceEvent::PrefillAdmit {
+                request: 444,
+                tokens: 8,
+                reason: AdmitReason::FirstPrefill,
+            },
+        );
+        r.record(first, TraceEvent::PrefillDone { request: 444 });
+        r.record(
+            finish,
+            TraceEvent::RequestFinish {
+                request: 444,
+                arrival,
+                first_token: first,
+            },
+        );
+        let (spans, _) = build_spans(&r);
+        let s = &spans[0];
+        assert!(s.identities_hold());
+        assert_eq!(s.components.residual.to_bits(), 0.0f64.to_bits());
+        for v in s.components.as_array() {
+            assert_eq!(snap(v), v, "{v} is on the grid");
         }
     }
 }

@@ -50,7 +50,9 @@
 #      validator, which re-verifies the exact accounting identities
 #      (span components refold to TTFT/latency, attributed bubble
 #      seconds refold bit-exactly to total StageIdle per device) and
-#      exits 1 on any malformed or tampered report.
+#      exits 1 on any malformed or tampered report. A 2,000-request
+#      offline run repeats the span check at a size where evictions
+#      occur.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -153,6 +155,15 @@ target/release/tdpipe-cli bubble-report \
   --out "$trace_tmp/run.bubbles.json" > /dev/null
 target/release/tdpipe-cli bubble-report --check "$trace_tmp/run.bubbles.json"
 target/release/tdpipe-cli validate-trace --file "$trace_tmp/run.spans.trace.json"
+# At 2k offline requests some evicted requests' spans only close exactly
+# because journal times are snapped to the span grid; 200 is too small
+# to show it.
+target/release/tdpipe-cli run --scheduler td --requests 2000 --seed 42 \
+  --predictor oracle --journal-out "$trace_tmp/run2k.journal.json"
+target/release/tdpipe-cli span-report \
+  --journal "$trace_tmp/run2k.journal.json" \
+  --out "$trace_tmp/run2k.spans.json" > /dev/null
+target/release/tdpipe-cli span-report --check "$trace_tmp/run2k.spans.json"
 # Fleet: per-replica journals merged onto one labelled timeline.
 target/release/tdpipe-cli run --requests 120 \
   --arrival poisson --rate 16 \
