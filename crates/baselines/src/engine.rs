@@ -1,7 +1,6 @@
 //! The baseline engine: one driver over a [`Layout`] and a [`Batching`]
 //! policy (see the crate docs for the grid).
 
-use crate::common::{idle_advance, Lane, RunState};
 use std::collections::VecDeque;
 use std::ops::Deref;
 use tdpipe_core::cohort::DecodeCohort;
@@ -10,6 +9,7 @@ use tdpipe_core::control::ControlPlane;
 use tdpipe_core::cost::{PpCost, StagedJob, TpCost};
 use tdpipe_core::engine::InfeasibleConfig;
 use tdpipe_core::exec::PlaneStats;
+use tdpipe_core::lane::{idle_advance, Lane, Recompute, RunState};
 use tdpipe_core::metrics::EngineMetrics;
 use tdpipe_core::plan::MemoryPlan;
 use tdpipe_core::request::RequestPool;
@@ -467,14 +467,12 @@ impl BaselineEngine {
                     &mut slot.residents,
                     done.finish,
                     &mut slot.ctx,
+                    &mut Recompute,
                 );
             }
             for &idx in &done.prefilled {
                 st.pool.note_first_token(idx, done.finish);
-                let rt = st.pool.resident_tokens(idx);
-                let remaining = st.pool.output_len(idx) - st.pool.generated(idx);
-                slot.ctx += rt;
-                slot.cohort.join(&mut st.cm, idx, rt, remaining);
+                slot.ctx += st.bank(&mut slot.cohort, idx);
             }
             slot.residents.extend(done.prefilled);
             if metrics.is_enabled() {

@@ -28,13 +28,13 @@
 //! charges the control plane for both. The named engines are thin
 //! constructors that fix the two parameters.
 //!
-//! All four run on the same cost models, KV allocator, eviction policy and
-//! pipeline simulator as TD-Pipe — the only differences are the scheduling
-//! decisions, exactly like the paper's single-codebase (vLLM) comparison.
+//! All four run on the same cost models, KV allocator, lanes, decode step
+//! (`tdpipe_core::lane`) and pipeline simulator as TD-Pipe — the only
+//! differences are the scheduling decisions, exactly like the paper's
+//! single-codebase (vLLM) comparison.
 
 #![forbid(unsafe_code)]
 
-pub mod common;
 mod engine;
 
 pub use engine::{

@@ -3,10 +3,10 @@
 //! benches quantify that for our implementation.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use tdpipe_baselines::common::RunState;
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::greedy::GreedyPrefillPlanner;
 use tdpipe_core::intensity::{IntensityComparator, PrefillPhaseEstimate};
+use tdpipe_core::lane::{Recompute, RunState};
 use tdpipe_core::request::RequestPool;
 use tdpipe_core::steal::WorkStealer;
 use tdpipe_hw::{DecodeProfile, GpuSpec, KernelModel};
@@ -62,33 +62,34 @@ fn bench_decisions(c: &mut Criterion) {
         b.iter(|| cmp.should_switch(black_box(180), black_box(&est), black_box(0.04)))
     });
 
-    // Eviction storm: decode steps over a nearly-full lane, where extends
-    // keep overflowing and newest-first recompute-eviction fires batch
-    // after batch — exercising the lazy max-heap victim selection.
+    // Eviction storm: per-member reference decode steps over a nearly-full
+    // lane, where extends keep overflowing and newest-first
+    // recompute-eviction fires batch after batch — exercising the lazy
+    // max-heap victim selection.
     c.bench_function("eviction_storm_advance_decode", |b| {
         let trace = ShareGptLikeConfig::small(64, 17).generate();
         b.iter_batched(
             || {
-                let mut st =
-                    RunState::new(RequestPool::new(trace.requests(), |r| r.output_len));
-                let mut lane = st
-                    .make_lanes(1, 600, &EngineConfig::default())
-                    .pop()
-                    .expect("one lane");
+                let mut st = RunState::new(RequestPool::new(trace.requests(), |r| r.output_len));
+                let mut lane = st.single_lane(600, &EngineConfig::default());
                 let mut members = Vec::new();
+                let mut ctx = 0u64;
                 while st.head_fits(&lane) {
-                    members.push(st.admit_head(&mut lane).0);
+                    let (idx, tokens) = st.admit_head(&mut lane);
+                    members.push(idx);
+                    ctx += tokens as u64;
                 }
-                (st, lane, members)
+                (st, lane, members, ctx)
             },
-            |(mut st, mut lane, mut members)| {
+            |(mut st, mut lane, mut members, mut ctx)| {
                 for step in 1..=8 {
                     if members.is_empty() {
                         break;
                     }
-                    st.advance_decode(&mut lane, &mut members, black_box(step as f64 * 0.1));
+                    let now = black_box(step as f64 * 0.1);
+                    st.advance_decode_ctx(&mut lane, &mut members, now, &mut ctx, &mut Recompute);
                 }
-                (st, lane, members)
+                (st, lane, members, ctx)
             },
             BatchSize::SmallInput,
         )

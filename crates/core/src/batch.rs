@@ -1,7 +1,5 @@
 //! Decode batches: the unit the decode phase pipelines.
 
-use crate::request::RequestPool;
-
 /// A decode batch: a set of resident requests that step together. With `n`
 /// pipeline stages the engine keeps `n` batches in flight so every stage
 /// has work (paper §3.4: "we divide the requests into batches equal to the
@@ -28,14 +26,6 @@ impl DecodeBatch {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// Total context tokens (KV the next step must read).
-    pub fn total_ctx(&self, pool: &RequestPool) -> u64 {
-        self.members
-            .iter()
-            .map(|&i| pool.resident_tokens(i))
-            .sum()
     }
 }
 
@@ -76,7 +66,6 @@ pub fn partition_even_into(members: &[usize], n: usize, out: &mut Vec<DecodeBatc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdpipe_workload::ShareGptLikeConfig;
 
     #[test]
     fn partition_is_even_and_complete() {
@@ -119,22 +108,6 @@ mod tests {
         for (a, b) in out.iter().zip(&fresh) {
             assert_eq!(a.members, b.members);
         }
-    }
-
-    #[test]
-    fn total_ctx_sums_resident_tokens() {
-        let t = ShareGptLikeConfig::small(4, 2).generate();
-        let mut pool = crate::request::RequestPool::new(t.requests(), |r| r.output_len);
-        for i in 0..4 {
-            let tokens = pool.input_len(i);
-            pool.note_prefill(i, tokens);
-        }
-        pool.note_decode_step(0, 0.0);
-        let b = DecodeBatch {
-            members: vec![0, 1],
-        };
-        let expect = pool.resident_tokens(0) + pool.resident_tokens(1);
-        assert_eq!(b.total_ctx(&pool), expect);
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //!
 //! Bit-identity with the per-member loop is the design contract: every
 //! counter is exact integer arithmetic, and every settle applies exactly
-//! the increments the per-step loop would have applied. When KV memory
-//! pressure makes eviction possible, callers either settle the whole
-//! cohort and replay the step through the per-member loop (the TD
-//! engine), or walk just the members growing a block this step —
-//! [`DecodeCohort::member_grows`] — settling only the victims (the
-//! baseline engine); both reproduce the eviction schedule exactly.
+//! the increments the per-step loop would have applied. Under KV memory
+//! pressure the step walks just the members growing a block this step —
+//! [`DecodeCohort::member_grows`] — and settles only the victims, which
+//! reproduces the eviction schedule exactly (see
+//! `crate::lane::RunState::advance_decode_cohort`, the one decode step
+//! every engine shares).
 
 /// Shared per-request bookkeeping for any number of [`DecodeCohort`]s,
 /// indexed by pool id.
@@ -161,14 +161,6 @@ impl DecodeCohort {
         }
         self.buckets[f].push((m as u32, cm.gen[m]));
         self.live += 1;
-    }
-
-    /// Blocks the *next* step can demand (an upper bound: members
-    /// finishing on it are still counted). The engines compare this
-    /// against free blocks to decide fast path vs. per-member fallback.
-    #[inline]
-    pub fn next_grows(&self) -> u32 {
-        self.classes[((self.epoch + 1) % self.block_size) as usize]
     }
 
     /// Advance the cohort by one decode step. Call
@@ -359,7 +351,6 @@ mod tests {
         let mut cm = CohortMembers::new(4);
         coh.join(&mut cm, 0, 8, 10); // 8 % 4 == 0: grows on step 1, 5, 9…
         coh.join(&mut cm, 1, 7, 10); // grows on step 2 (7→8 fills, 8 grows)…
-        assert_eq!(coh.next_grows(), 1);
         coh.begin_step();
         assert_eq!(coh.step_grows(), 1);
         coh.begin_step();

@@ -22,14 +22,15 @@
 //! pipeline would show.
 
 use crate::batch::{partition_even_into, DecodeBatch};
-use crate::cohort::{CohortMembers, DecodeCohort};
-use crate::config::{D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig};
+use crate::cohort::DecodeCohort;
+use crate::config::{D2pPolicy, EngineConfig, P2dPolicy, PreemptionMode, TdPipeConfig};
 use crate::control::ControlPlane;
 use crate::cost::PpCost;
 use crate::estimate::PrefillEstimateCache;
 use crate::exec::{ExecError, PipelineExecutor, SimExecutor};
 use crate::greedy::GreedyPrefillPlanner;
 use crate::intensity::{IntensityComparator, PrefillPhaseEstimate};
+use crate::lane::{idle_advance, DecodeHook, Lane, RunState};
 use crate::metrics::EngineMetrics;
 use crate::plan::MemoryPlan;
 use crate::request::{Lifecycle, RequestPool};
@@ -152,14 +153,12 @@ fn reclaim_retained(
 /// queue's unreleased tail to its sorted slot. Returns the tokens `m`
 /// held (its contribution to the departing batch's context), exactly as
 /// `alloc.free` would have reported.
-#[allow(clippy::too_many_arguments)]
 fn release_finished(
     m: usize,
     now: f64,
     sess: &mut Option<SessionRun<'_>>,
     pool: &mut RequestPool,
-    alloc: &mut BlockAllocator,
-    pending: &mut VecDeque<usize>,
+    lane: &mut Lane,
     est_cache: &mut PrefillEstimateCache,
     journal: &mut FlightRecorder,
 ) -> u64 {
@@ -178,11 +177,11 @@ fn release_finished(
         // analyzer: allow(no-expect) — every batch member was allocated at
         // admission and eviction removes it from its batch, so a finisher
         // is resident.
-        return alloc.free(m as u64).expect("finished request resident");
+        return lane.alloc.free(m as u64).expect("finished request resident");
     };
     let next = s.turns[m].next;
     // analyzer: allow(no-expect) — finishers are resident (see above).
-    let held = alloc.tokens_of(m as u64).expect("finished request resident");
+    let held = lane.alloc.tokens_of(m as u64).expect("finished request resident");
     let mut retained = false;
     if s.reuse {
         if let Some(succ) = next {
@@ -196,7 +195,7 @@ fn release_finished(
                 };
                 // analyzer: allow(no-expect) — retained donors stay
                 // resident until claimed or dropped here.
-                alloc.free(e.donor).expect("retained donor resident");
+                lane.alloc.free(e.donor).expect("retained donor resident");
                 pool.clear_reuse_discount(other as usize);
                 journal.record(
                     now,
@@ -225,7 +224,7 @@ fn release_finished(
     }
     if !retained {
         // analyzer: allow(no-expect) — still resident: nothing freed it.
-        alloc.free(m as u64).expect("finished request resident");
+        lane.alloc.free(m as u64).expect("finished request resident");
     }
     if let Some(succ) = next {
         let succ = succ as usize;
@@ -234,25 +233,102 @@ fn release_finished(
         // The successor has never arrived (infinite arrival), so it still
         // sits in the pending queue's unreleased tail — scan from the
         // back, where it lives.
-        let p = pending
+        let p = lane
+            .pending
             .iter()
             .rposition(|&i| i == succ)
             // analyzer: allow(no-expect) — unreleased turns are never
             // admitted (their arrival is infinite), so the successor
             // must be pending.
             .expect("unreleased turn pending");
-        pending.remove(p);
+        lane.pending.remove(p);
         // Sorted re-insertion among released-but-future arrivals. The
         // walk stops before the arrived head region (arrivals <= now <=
         // at), so the eviction-ordered head layout is preserved.
-        let mut pos = pending.len();
-        while pos > 0 && pool.arrival(pending[pos - 1]) > at {
+        let mut pos = lane.pending.len();
+        while pos > 0 && pool.arrival(lane.pending[pos - 1]) > at {
             pos -= 1;
         }
-        pending.insert(pos, succ);
+        lane.pending.insert(pos, succ);
         est_cache.invalidate();
     }
     held
+}
+
+/// TD-Pipe's side of the shared decode step: finishers may retain their
+/// KV for a session successor, idle retained prefixes are reclaimed
+/// before any live member is evicted, and victims are recomputed or
+/// swapped to host memory and journalled.
+struct TdStep<'a, 's> {
+    sess: &'a mut Option<SessionRun<'s>>,
+    planner: &'a mut GreedyPrefillPlanner,
+    est_cache: &'a mut PrefillEstimateCache,
+    journal: &'a mut FlightRecorder,
+    metrics: &'a mut EngineMetrics,
+    cfg: &'a EngineConfig,
+    kv_bytes_per_token: f64,
+    /// Host-link seconds this step's swap-outs hold the batch back.
+    swap_out_delay: f64,
+}
+
+impl DecodeHook for TdStep<'_, '_> {
+    fn finish(&mut self, m: usize, now: f64, pool: &mut RequestPool, lane: &mut Lane) -> u64 {
+        let freed = release_finished(m, now, self.sess, pool, lane, self.est_cache, self.journal);
+        // `remove_request` subtracts the *tracked* contribution, so no
+        // settle is needed first.
+        self.planner.remove_request(m);
+        freed
+    }
+
+    fn reclaim(
+        &mut self,
+        target: u64,
+        now: f64,
+        pool: &mut RequestPool,
+        alloc: &mut BlockAllocator,
+    ) -> bool {
+        match self.sess.as_mut() {
+            Some(s) => reclaim_retained(
+                s,
+                target,
+                None,
+                now,
+                alloc,
+                pool,
+                self.est_cache,
+                self.journal,
+            ),
+            None => false,
+        }
+    }
+
+    fn evicted(&mut self, victim: usize, now: f64, pool: &mut RequestPool) {
+        self.planner.remove_request(victim);
+        let mode = match self.cfg.preemption {
+            PreemptionMode::Recompute => {
+                pool.note_eviction(victim);
+                EvictMode::Recompute
+            }
+            PreemptionMode::Swap => {
+                // The victim's KV streams to host memory; the batch cannot
+                // relaunch until its share of the link is free.
+                self.swap_out_delay += pool.resident_tokens(victim) as f64
+                    * self.kv_bytes_per_token
+                    / self.cfg.host_link_bw;
+                pool.note_swap_out(victim);
+                EvictMode::Swap
+            }
+        };
+        self.journal.record(
+            now,
+            TraceEvent::Evict {
+                mode,
+                victim: pool.id(victim).0,
+            },
+        );
+        self.metrics.on_evict(mode);
+        self.est_cache.invalidate();
+    }
 }
 
 /// The TD-Pipe inference engine for one `(model, node)` configuration.
@@ -448,10 +524,14 @@ impl TdPipeEngine {
         );
         let n_stages = self.cost.num_stages() as usize;
         let e = &self.cfg.engine;
-        let mut pool =
-            RequestPool::with_arrivals(trace.requests(), arrivals, |r| predictor.predict(r));
-        let mut alloc = BlockAllocator::new(self.plan.kv_blocks, self.plan.block_size);
-        alloc.reserve_ids(pool.len());
+        // The request pool and admission order, and one lane: the whole
+        // KV pool plus the pending queue, every request initially queued.
+        let mut run = RunState::new(RequestPool::with_arrivals(
+            trace.requests(),
+            arrivals,
+            |r| predictor.predict(r),
+        ));
+        let mut lane = run.single_lane(self.plan.kv_blocks, e);
         // Closed-loop session state: the retention pool gets the
         // configured fraction of KV blocks (zero when reuse is off, so
         // every finished turn frees normally).
@@ -481,7 +561,7 @@ impl TdPipeEngine {
         let mut journal = if e.record_trace {
             // Admit + stop + launch + done + finish per request, plus
             // slack for phase machinery and recompute episodes.
-            FlightRecorder::with_capacity(pool.len() * 8 + 64)
+            FlightRecorder::with_capacity(run.pool.len() * 8 + 64)
         } else {
             FlightRecorder::disabled()
         };
@@ -491,23 +571,16 @@ impl TdPipeEngine {
         let comparator = IntensityComparator::new(self.build_profile(trace));
         let mut planner =
             GreedyPrefillPlanner::new(self.cfg.future_points(), self.plan.token_capacity());
-        planner.reserve_ids(pool.len());
+        planner.reserve_ids(run.pool.len());
 
         let mut ctrl = ControlPlane::new(e);
-        let mut pending: VecDeque<usize> = (0..pool.len()).collect();
-        // Admission order drives batch partitioning and eviction priority.
-        let mut admission_seq: Vec<u64> = vec![0; pool.len()];
-        let mut next_seq: u64 = 0;
         let mut residents: Vec<usize> = Vec::new();
 
         // Charge the (tiny) predictor cost up front, like the paper's
         // §4.4.1 accounting.
-        let mut now = pool.len() as f64 * predictor.per_request_overhead();
+        let mut now = run.pool.len() as f64 * predictor.per_request_overhead();
         let mut phase_switches: u32 = 0;
-        // analyzer: allow(lossy-float-cast) — watermark ∈ [0,1] and
-        // kv_blocks ≤ 2^32, so the ceil stays well inside u64 and the
-        // round-up direction is the conservative one for admission.
-        let watermark_blocks = (self.plan.kv_blocks as f64 * e.watermark).ceil() as u64;
+        let watermark_blocks = lane.watermark_blocks();
 
         let mut phases: Vec<PhaseRecord> = Vec::new();
         // Prefill completions are consumed lazily (the executor reports in
@@ -523,11 +596,9 @@ impl TdPipeEngine {
         let mut prefill_meta: Vec<(usize, usize, f64)> = Vec::new();
         let mut est_cache = PrefillEstimateCache::default();
         let mut job = crate::cost::StagedJob::default();
-        let mut evict_heap: std::collections::BinaryHeap<(u64, usize)> =
-            std::collections::BinaryHeap::new();
-        let mut evicted: Vec<bool> = Vec::new();
-        // Running per-batch context totals (`DecodeBatch::total_ctx`
-        // maintained incrementally) and their sum over stored batches.
+        // Running per-batch context totals (resident tokens over each
+        // batch's members, maintained incrementally) and their sum over
+        // stored batches.
         let mut batch_ctx: Vec<u64> = vec![0; n_stages];
         let mut inflight: VecDeque<usize> = VecDeque::new();
         // Per-switch scratch, reused so the steady-state engine allocates
@@ -536,17 +607,15 @@ impl TdPipeEngine {
         let mut batches: Vec<DecodeBatch> = Vec::new();
         let mut initial_sizes: Vec<usize> = Vec::new();
         let mut stealer: Option<WorkStealer> = None;
-        // Event-driven decode cohorts, one per in-flight batch, plus their
-        // shared per-request bookkeeping: each banks its batch's per-step
-        // work (tokens generated, KV extends, finish retirement, planner
-        // advances) as arithmetic, settled per member only when a member
-        // leaves its batch — see `crate::cohort`.
+        // Event-driven decode cohorts, one per in-flight batch, sharing
+        // `run.cm`: each banks its batch's per-step work (tokens
+        // generated, KV extends, finish retirement, planner advances) as
+        // arithmetic, settled per member only when a member leaves its
+        // batch — see `crate::cohort`.
         let mut cohorts: Vec<DecodeCohort> = (0..n_stages)
             .map(|_| DecodeCohort::new(self.plan.block_size))
             .collect();
-        let mut cm = CohortMembers::new(pool.len());
-        let mut finishers: Vec<(usize, u32)> = Vec::new();
-        while !pool.all_finished() {
+        while !run.pool.all_finished() {
             // ===================== PREFILL PHASE =====================
             let phase_t0 = now;
             let mut admitted = 0u64;
@@ -560,7 +629,7 @@ impl TdPipeEngine {
                     self.plan.token_capacity(),
                 );
                 for &i in &residents {
-                    oracle.admit(i, pool.resident_tokens(i), pool.predicted_remaining(i));
+                    oracle.admit(i, run.pool.resident_tokens(i), run.pool.predicted_remaining(i));
                 }
                 debug_assert_eq!(
                     oracle.usage(),
@@ -572,10 +641,10 @@ impl TdPipeEngine {
             let mut admitted_any = false;
             prefill_members.clear();
             prefill_meta.clear();
-            'prefill: while !pending.is_empty() {
+            'prefill: while !lane.pending.is_empty() {
                 let stop = match self.cfg.p2d {
                     P2dPolicy::Greedy => planner.would_overflow(),
-                    P2dPolicy::FixedOccupancy(r) => alloc.occupancy() >= r,
+                    P2dPolicy::FixedOccupancy(r) => lane.alloc.occupancy() >= r,
                 };
                 if stop && admitted_any {
                     journal.record(
@@ -595,20 +664,20 @@ impl TdPipeEngine {
                 // Why the packing loop below halted (journal; the loop
                 // running the queue dry leaves the default).
                 let mut pack_stop = PrefillStopReason::Exhausted;
-                while let Some(&idx) = pending.front() {
+                while let Some(&idx) = lane.pending.front() {
                     // Online extension: a request can only be prefilled
                     // after it has arrived.
-                    if pool.arrival(idx) > now + launched as f64 * e.engine_overhead {
+                    if run.pool.arrival(idx) > now + launched as f64 * e.engine_overhead {
                         pack_stop = PrefillStopReason::Arrival;
                         break;
                     }
                     // Swap-preempted requests re-enter via a host-link
                     // transfer, not a prefill job.
-                    if pool.swapped(idx) {
-                        let tokens = pool.resident_tokens(idx);
+                    if run.pool.swapped(idx) {
+                        let tokens = run.pool.resident_tokens(idx);
                         let needed =
                             tokens.div_ceil(self.plan.block_size as u64);
-                        if alloc.free_blocks() < needed + watermark_blocks {
+                        if lane.alloc.free_blocks() < needed + watermark_blocks {
                             // Idle retained session prefixes yield to live
                             // re-admissions before the packer gives up.
                             let met = match sess.as_mut() {
@@ -617,8 +686,8 @@ impl TdPipeEngine {
                                     needed + watermark_blocks,
                                     None,
                                     now,
-                                    &mut alloc,
-                                    &mut pool,
+                                    &mut lane.alloc,
+                                    &mut run.pool,
                                     &mut est_cache,
                                     &mut journal,
                                 ),
@@ -632,22 +701,21 @@ impl TdPipeEngine {
                         // analyzer: allow(no-expect) — guarded two lines
                         // up: `free_blocks() >= needed + watermark` makes
                         // this allocation infallible.
-                        alloc.allocate(idx as u64, tokens).expect("checked");
-                        pending.pop_front();
-                        pool.note_swap_in(idx, tokens);
+                        lane.alloc.allocate(idx as u64, tokens).expect("checked");
+                        lane.pending.pop_front();
+                        run.pool.note_swap_in(idx, tokens);
                         now += tokens as f64
                             * self.cost.model().kv_bytes_per_token() as f64
                             / e.host_link_bw;
-                        admission_seq[idx] = next_seq;
-                        next_seq += 1;
+                        run.stamp_admission(idx);
                         residents.push(idx);
-                        planner.admit(idx, tokens, pool.predicted_remaining(idx));
+                        planner.admit(idx, tokens, run.pool.predicted_remaining(idx));
                         admitted_any = true;
                         admitted += 1;
                         journal.record(
                             now,
                             TraceEvent::PrefillAdmit {
-                                request: pool.id(idx).0,
+                                request: run.pool.id(idx).0,
                                 tokens,
                                 reason: AdmitReason::SwapIn,
                             },
@@ -660,19 +728,19 @@ impl TdPipeEngine {
                     // request *occupies* once resident. Equal except on a
                     // hit, where the donor's retained blocks come back
                     // first, so they count toward the admission check.
-                    let t = pool.prefill_tokens(idx);
+                    let t = run.pool.prefill_tokens(idx);
                     if !batch.is_empty() && batch_tokens + t > e.prefill_token_budget {
                         pack_stop = PrefillStopReason::Budget;
                         break;
                     }
-                    let full = pool.resident_tokens(idx);
+                    let full = run.pool.resident_tokens(idx);
                     let needed = full.div_ceil(self.plan.block_size as u64);
                     let donor_blocks = sess
                         .as_ref()
                         .and_then(|s| s.retainer.peek(idx as u64))
                         .map_or(0, |c| c.blocks);
                     let target = (needed + watermark_blocks).saturating_sub(donor_blocks);
-                    if alloc.free_blocks() < target {
+                    if lane.alloc.free_blocks() < target {
                         // Reclaim idle retained prefixes (never this
                         // request's own) before giving up on memory.
                         let met = match sess.as_mut() {
@@ -681,8 +749,8 @@ impl TdPipeEngine {
                                 target,
                                 Some(idx as u64),
                                 now,
-                                &mut alloc,
-                                &mut pool,
+                                &mut lane.alloc,
+                                &mut run.pool,
                                 &mut est_cache,
                                 &mut journal,
                             ),
@@ -700,20 +768,20 @@ impl TdPipeEngine {
                         if let Some(c) = s.retainer.claim(idx as u64) {
                             // analyzer: allow(no-expect) — retained donors
                             // stay resident until claimed here or dropped.
-                            alloc.free(c.donor).expect("retained donor resident");
+                            lane.alloc.free(c.donor).expect("retained donor resident");
                             journal.record(
                                 now,
                                 TraceEvent::SessionReuseHit {
-                                    request: pool.id(idx).0,
+                                    request: run.pool.id(idx).0,
                                     tokens: c.tokens,
                                 },
                             );
-                        } else if s.turns[idx].prev.is_some() && pool.evictions(idx) == 0 {
+                        } else if s.turns[idx].prev.is_some() && run.pool.evictions(idx) == 0 {
                             s.reuse_misses += 1;
                             journal.record(
                                 now,
                                 TraceEvent::SessionReuseMiss {
-                                    request: pool.id(idx).0,
+                                    request: run.pool.id(idx).0,
                                 },
                             );
                         }
@@ -722,15 +790,15 @@ impl TdPipeEngine {
                     // admission check reserved `needed + watermark`
                     // free blocks (counting the just-freed donor), so
                     // this allocation cannot fail.
-                    alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
-                    pending.pop_front();
+                    lane.alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
+                    lane.pending.pop_front();
                     batch.push(idx);
                     seq_lens.push(t);
                     batch_tokens += t;
                     if sess.is_some() {
                         // The discount was consumed by this admission; a
                         // later eviction re-prefills at full cost.
-                        pool.clear_reuse_discount(idx);
+                        run.pool.clear_reuse_discount(idx);
                     }
                 }
                 if batch.is_empty() {
@@ -739,9 +807,9 @@ impl TdPipeEngine {
                     // analyzer: allow(no-expect) — this branch is only
                     // reachable from the admission loop's `break`s, all
                     // of which require a non-empty pending queue.
-                    let idx = *pending.front().expect("pending nonempty");
+                    let idx = *lane.pending.front().expect("pending nonempty");
                     let head_arrived =
-                        pool.arrival(idx) <= now + launched as f64 * e.engine_overhead;
+                        run.pool.arrival(idx) <= now + launched as f64 * e.engine_overhead;
                     if head_arrived && !admitted_any && residents.is_empty() {
                         // analyzer: allow(no-panic) — unschedulable input
                         // (one request larger than the whole KV pool):
@@ -749,8 +817,8 @@ impl TdPipeEngine {
                         // `run_with_arrivals`, not a runtime failure.
                         panic!(
                             "request {} ({} tokens) exceeds KV capacity ({} tokens)",
-                            pool.id(idx),
-                            pool.resident_tokens(idx),
+                            run.pool.id(idx),
+                            run.pool.resident_tokens(idx),
                             self.plan.token_capacity()
                         );
                     }
@@ -793,20 +861,23 @@ impl TdPipeEngine {
                 metrics.on_prefill_batch(batch.len(), batch_tokens as u64);
                 let start = prefill_members.len();
                 prefill_members.extend_from_slice(&batch);
-                prefill_meta.push((start, prefill_members.len(), alloc.occupancy()));
+                prefill_meta.push((start, prefill_members.len(), lane.alloc.occupancy()));
                 for (&idx, &t) in batch.iter().zip(&seq_lens) {
-                    pool.note_prefill(idx, t);
+                    run.pool.note_prefill(idx, t);
                     // The planner tracks *residency*, not prefill work:
                     // on a session reuse hit the two differ (`t` is the
                     // fresh suffix; the request occupies its full
                     // prompt). Identical to `t` on every other path.
-                    planner.admit(idx, pool.resident_tokens(idx), pool.predicted_remaining(idx));
-                    admission_seq[idx] = next_seq;
-                    next_seq += 1;
+                    planner.admit(
+                        idx,
+                        run.pool.resident_tokens(idx),
+                        run.pool.predicted_remaining(idx),
+                    );
+                    run.stamp_admission(idx);
                     residents.push(idx);
                     admitted += 1;
                     if journal.is_enabled() || metrics.is_enabled() {
-                        let reason = if pool.evictions(idx) > 0 {
+                        let reason = if run.pool.evictions(idx) > 0 {
                             AdmitReason::Recompute
                         } else {
                             AdmitReason::FirstPrefill
@@ -814,7 +885,7 @@ impl TdPipeEngine {
                         journal.record(
                             now,
                             TraceEvent::PrefillAdmit {
-                                request: pool.id(idx).0,
+                                request: run.pool.id(idx).0,
                                 tokens: t as u64,
                                 reason,
                             },
@@ -843,18 +914,18 @@ impl TdPipeEngine {
                 debug_assert!(tag > PREFILL_TAG, "prefills complete before decodes");
                 done_t = done_t.max(finish);
                 for &idx in &prefill_members[start..end] {
-                    pool.note_first_token(idx, finish);
+                    run.pool.note_first_token(idx, finish);
                     journal.record(
                         done_t,
                         TraceEvent::PrefillDone {
-                            request: pool.id(idx).0,
+                            request: run.pool.id(idx).0,
                         },
                     );
                 }
                 if e.record_occupancy {
                     occupancy.push(finish, occ, Phase::Prefill);
                 }
-                metrics.sample(finish, occ, 0, 0, pending.len());
+                metrics.sample(finish, occ, 0, 0, lane.pending.len());
                 prefill_exec_end = prefill_exec_end.max(finish);
             }
             now += launched as f64 * e.engine_overhead;
@@ -874,16 +945,15 @@ impl TdPipeEngine {
                 // Nothing runnable. With arrivals this legitimately means
                 // the system is idle until the next request shows up:
                 // fast-forward and try the prefill phase again.
-                let next_arrival = pending
-                    .iter()
-                    .map(|&i| pool.arrival(i))
-                    .fold(f64::INFINITY, f64::min);
-                assert!(
-                    next_arrival.is_finite() && next_arrival > now,
-                    "stuck: nothing resident, nothing arriving (pending={}, finished={}/{})",
-                    pending.len(),
-                    pool.finished(),
-                    pool.len()
+                let next_arrival = idle_advance(
+                    lane.pending
+                        .iter()
+                        .map(|&i| run.pool.arrival(i))
+                        .fold(f64::INFINITY, f64::min),
+                    now,
+                    lane.pending.len(),
+                    run.pool.finished(),
+                    run.pool.len(),
                 );
                 // Declared starvation: the bubble ledger attributes every
                 // device's idleness over [now, next_arrival] to arrivals.
@@ -918,7 +988,7 @@ impl TdPipeEngine {
             debug_assert!(
                 residents
                     .windows(2)
-                    .all(|w| admission_seq[w[0]] < admission_seq[w[1]]),
+                    .all(|w| run.admission_seq[w[0]] < run.admission_seq[w[1]]),
                 "residents must stay in admission order"
             );
             partition_even_into(&residents, n_stages, &mut batches);
@@ -937,21 +1007,13 @@ impl TdPipeEngine {
 
             debug_assert!(inflight.is_empty());
             for (bid, b) in batches.iter().enumerate() {
-                // Scan each batch once at phase start; from here on
-                // `batch_ctx` is maintained incrementally. Bank every
-                // member into the batch's cohort: one join here replaces
-                // the per-step per-member walk for its whole residency.
-                batch_ctx[bid] = b.total_ctx(&pool);
+                // Bank every member into the batch's cohort: one join here
+                // replaces the per-step per-member walk for its whole
+                // residency. The context total is summed once here and
+                // maintained incrementally from then on.
                 let coh = &mut cohorts[bid];
                 coh.reset();
-                for &m in &b.members {
-                    coh.join(
-                        &mut cm,
-                        m,
-                        pool.resident_tokens(m),
-                        pool.output_len(m) - pool.generated(m),
-                    );
-                }
+                batch_ctx[bid] = b.members.iter().map(|&m| run.bank(coh, m)).sum();
                 if b.is_empty() {
                     continue;
                 }
@@ -973,203 +1035,34 @@ impl TdPipeEngine {
                 decode_steps += 1;
                 let mut members = std::mem::take(&mut batches[bid].members);
                 stored_ctx -= batch_ctx[bid];
-                // 1) One token generated per member; retire the finished.
-                //    Every member's context grows by one this step; the
-                //    finished leave with their post-step resident tokens
-                //    (one more than the allocator held for them).
-                // 2) Extend survivors' KV; evict newest-first on overflow
-                //    (the recompute strategy of §4.1).
-                //
-                // The fast path banks the whole step in the batch's
-                // cohort: finishers drain from their finish-epoch bucket
-                // (with their banked state settled on the way out), the
-                // survivors' growth is one aggregate extend, and no other
-                // member is touched. When free memory cannot cover the
-                // step's worst-case block demand, the cohort is settled
-                // and the per-member loop replays the step with the
-                // eviction machinery — identical semantics either way, so
-                // the switch between paths cannot perturb the schedule.
-                let mut ctx = batch_ctx[bid] + members.len() as u64;
-                let mut finished_now = 0usize;
-                let mut swap_out_delay = 0.0;
-                if alloc.free_blocks() >= cohorts[bid].next_grows() as u64 {
-                    let coh = &mut cohorts[bid];
-                    coh.begin_step();
-                    coh.drain_finishers(&mut cm, &mut finishers);
-                    finished_now = finishers.len();
-                    for &(m, extends) in &finishers {
-                        alloc.advance_tokens(m as u64, extends as u64);
-                        pool.finish_decode(m, extends + 1, now);
-                        // Retain-for-successor or free, plus the
-                        // closed-loop release (plain free on non-session
-                        // runs).
-                        let freed = release_finished(
-                            m,
-                            now,
-                            &mut sess,
-                            &mut pool,
-                            &mut alloc,
-                            &mut pending,
-                            &mut est_cache,
-                            &mut journal,
-                        );
-                        ctx -= freed + 1;
-                        // `remove_request` subtracts the *tracked*
-                        // contribution, so no settle is needed first.
-                        planner.remove_request(m);
-                    }
-                    alloc.extend_cohort(coh.live() as u64, coh.step_grows() as u64);
-                    if finished_now > 0 {
-                        members.retain(|&m| pool.lifecycle(m) == Lifecycle::Decoding);
-                    }
-                    debug_assert_eq!(cohorts[bid].live(), members.len());
-                } else {
-                    // Materialise every member, then replay the step with
-                    // the per-member loop. Overflow is rare, so the victim
-                    // order is built lazily: a max-heap over
-                    // `admission_seq` (unique, so the peel order matches
-                    // the old per-victim max scan exactly) with lazy
-                    // deletion — O(log n) per eviction instead of O(n).
-                    for &m in &members {
-                        let p = cohorts[bid].leave(&mut cm, m);
-                        planner.advance(m, p);
-                        pool.advance_decode_steps(m, p);
-                        alloc.advance_tokens(m as u64, p as u64);
-                    }
-                    members.retain(|&idx| {
-                        if pool.note_decode_step(idx, now) {
-                            let freed = release_finished(
-                                idx,
-                                now,
-                                &mut sess,
-                                &mut pool,
-                                &mut alloc,
-                                &mut pending,
-                                &mut est_cache,
-                                &mut journal,
-                            );
-                            ctx -= freed + 1;
-                            finished_now += 1;
-                            planner.remove_request(idx);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    let mut heap_built = false;
-                    let mut i = 0;
-                    while i < members.len() {
-                        if heap_built && evicted[i] {
-                            i += 1;
-                            continue;
-                        }
-                        let idx = members[i];
-                        if alloc.extend_one(idx as u64).is_ok() {
-                            i += 1;
-                            continue;
-                        }
-                        // Idle retained session prefixes yield before any
-                        // live member is evicted.
-                        if let Some(s) = sess.as_mut() {
-                            if reclaim_retained(
-                                s,
-                                1,
-                                None,
-                                now,
-                                &mut alloc,
-                                &mut pool,
-                                &mut est_cache,
-                                &mut journal,
-                            ) && alloc.extend_one(idx as u64).is_ok()
-                            {
-                                i += 1;
-                                continue;
-                            }
-                        }
-                        if !heap_built {
-                            evicted.clear();
-                            evicted.resize(members.len(), false);
-                            evict_heap.clear();
-                            evict_heap.extend(
-                                members
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(p, &m)| (admission_seq[m], p)),
-                            );
-                            heap_built = true;
-                        }
-                        // Evict the newest member (possibly idx itself).
-                        let pos = loop {
-                            // analyzer: allow(no-expect) — the heap holds
-                            // every live member and `idx` itself is live, so
-                            // a victim always exists before exhaustion.
-                            let (_, p) = evict_heap.pop().expect("live member to evict");
-                            if !evicted[p] {
-                                break p;
-                            }
-                        };
-                        let victim = members[pos];
-                        evicted[pos] = true;
-                        // analyzer: allow(no-expect) — victims come from
-                        // `members`, all of which hold live allocations.
-                        alloc.free(victim as u64).expect("victim resident");
-                        ctx -= pool.resident_tokens(victim);
-                        planner.remove_request(victim);
-                        let mode = match e.preemption {
-                            PreemptionMode::Recompute => {
-                                pool.note_eviction(victim);
-                                EvictMode::Recompute
-                            }
-                            PreemptionMode::Swap => {
-                                // The victim's KV streams to host memory; the
-                                // batch cannot relaunch until its share of the
-                                // link is free.
-                                swap_out_delay += pool.resident_tokens(victim) as f64
-                                    * self.cost.model().kv_bytes_per_token() as f64
-                                    / e.host_link_bw;
-                                pool.note_swap_out(victim);
-                                EvictMode::Swap
-                            }
-                        };
-                        journal.record(
-                            now,
-                            TraceEvent::Evict {
-                                mode,
-                                victim: pool.id(victim).0,
-                            },
-                        );
-                        metrics.on_evict(mode);
-                        pending.push_front(victim);
-                        est_cache.invalidate();
-                        // `idx` may have been the victim; the `evicted` check at
-                        // the loop head re-routes, otherwise retry this slot.
-                    }
-                    if heap_built {
-                        // Compact the survivors in order (one pass, instead
-                        // of the old `Vec::remove` per victim).
-                        let mut p = 0;
-                        members.retain(|_| {
-                            let keep = !evicted[p];
-                            p += 1;
-                            keep
-                        });
-                    }
-                    // Credit the step each survivor just executed in full,
-                    // then re-bank the batch as a fresh cohort.
-                    let coh = &mut cohorts[bid];
-                    coh.reset();
-                    for &m in &members {
-                        planner.advance(m, 1);
-                        coh.join(
-                            &mut cm,
-                            m,
-                            pool.resident_tokens(m),
-                            pool.output_len(m) - pool.generated(m),
-                        );
-                    }
-                }
+                // 1) One token per member; finishers retire (retained for
+                //    a session successor or freed).
+                // 2) Survivors extend their KV; on overflow idle retained
+                //    prefixes go first, then the newest admission is
+                //    evicted (recompute or swap, §4.1).
+                // The batch's cohort banks the step: see
+                // `RunState::advance_decode_cohort`.
+                let mut ctx = batch_ctx[bid];
+                let mut hook = TdStep {
+                    sess: &mut sess,
+                    planner: &mut planner,
+                    est_cache: &mut est_cache,
+                    journal: &mut journal,
+                    metrics: &mut metrics,
+                    cfg: e,
+                    kv_bytes_per_token: self.cost.model().kv_bytes_per_token() as f64,
+                    swap_out_delay: 0.0,
+                };
+                let finished_now = run.advance_decode_cohort(
+                    &mut lane,
+                    &mut cohorts[bid],
+                    &mut members,
+                    now,
+                    &mut ctx,
+                    &mut hook,
+                );
+                now += hook.swap_out_delay;
                 finished_this_phase += finished_now;
-                now += swap_out_delay;
                 // 3) Rebalance.
                 if let Some(st) = stealer.as_mut() {
                     let epoch = cohorts[bid].epoch();
@@ -1177,25 +1070,17 @@ impl TdPipeEngine {
                         // Banked members lag the pool by their banked
                         // steps; settled candidates (the withheld) read
                         // their pool state exactly.
-                        pool.resident_tokens(m) + cm.pending(m, epoch) as u64
+                        run.pool.resident_tokens(m) + run.cm.pending(m, epoch) as u64
                     });
                     // Newly withheld members leave this batch's step
                     // cadence: settle their banked steps now. Supplements
                     // join it: bank them into this batch's cohort.
                     let wh = st.withheld();
                     for &m in &wh[wh.len() - moved.withheld..] {
-                        let p = cohorts[bid].leave(&mut cm, m);
-                        planner.advance(m, p);
-                        pool.advance_decode_steps(m, p);
-                        alloc.advance_tokens(m as u64, p as u64);
+                        planner.advance(m, run.settle(&mut cohorts[bid], &mut lane.alloc, m));
                     }
                     for &m in &members[members.len() - moved.supplemented..] {
-                        cohorts[bid].join(
-                            &mut cm,
-                            m,
-                            pool.resident_tokens(m),
-                            pool.output_len(m) - pool.generated(m),
-                        );
+                        run.bank(&mut cohorts[bid], m);
                     }
                     if moved.withheld > 0 {
                         journal.record(
@@ -1218,10 +1103,10 @@ impl TdPipeEngine {
                     metrics.on_steal(moved.withheld, moved.supplemented);
                 }
                 if e.record_occupancy {
-                    occupancy.push(now, alloc.occupancy(), Phase::Decode);
+                    occupancy.push(now, lane.alloc.occupancy(), Phase::Decode);
                 }
                 // 4) Decode→prefill decision.
-                if !switching && !pending.is_empty() {
+                if !switching && !lane.pending.is_empty() {
                     switching = match self.cfg.d2p {
                         D2pPolicy::Intensity => {
                             let live: usize =
@@ -1235,12 +1120,12 @@ impl TdPipeEngine {
                                 .decode_job_into(mean_batch, mean_ctx.max(1), &mut job);
                             let step = job.latency();
                             let est = est_cache.query(
-                                &pending,
-                                &pool,
+                                &lane.pending,
+                                &run.pool,
                                 &self.cost,
                                 e.prefill_token_budget,
                                 self.plan.token_capacity(),
-                                alloc.free_blocks() * self.plan.block_size as u64,
+                                lane.alloc.free_blocks() * self.plan.block_size as u64,
                             );
                             // Debug cross-check: the memoized estimate must
                             // be bit-identical to the naive repack.
@@ -1248,9 +1133,9 @@ impl TdPipeEngine {
                             {
                                 let mut scratch = Vec::new();
                                 let naive = self.estimate_prefill_phase(
-                                    &pending,
-                                    &pool,
-                                    &alloc,
+                                    &lane.pending,
+                                    &run.pool,
+                                    &lane.alloc,
                                     &mut scratch,
                                 );
                                 debug_assert_eq!(
@@ -1290,15 +1175,9 @@ impl TdPipeEngine {
                 if !switching && inflight.is_empty() {
                     if let Some(st) = stealer.as_mut() {
                         for &m in st.withheld() {
-                            ctx += pool.resident_tokens(m);
                             // Absorbed members rejoin this batch's cadence
                             // (they were settled when withheld).
-                            cohorts[bid].join(
-                                &mut cm,
-                                m,
-                                pool.resident_tokens(m),
-                                pool.output_len(m) - pool.generated(m),
-                            );
+                            ctx += run.bank(&mut cohorts[bid], m);
                         }
                         st.take_withheld_into(&mut batches[bid].members);
                     }
@@ -1322,15 +1201,11 @@ impl TdPipeEngine {
             // the still-decoding entries preserves admission order for the
             // next partition.
             for (bid, b) in batches.iter().enumerate() {
-                let coh = &mut cohorts[bid];
                 for &m in &b.members {
-                    let p = coh.leave(&mut cm, m);
-                    planner.advance(m, p);
-                    pool.advance_decode_steps(m, p);
-                    alloc.advance_tokens(m as u64, p as u64);
+                    planner.advance(m, run.settle(&mut cohorts[bid], &mut lane.alloc, m));
                 }
             }
-            residents.retain(|&i| pool.lifecycle(i) == Lifecycle::Decoding);
+            residents.retain(|&i| run.pool.lifecycle(i) == Lifecycle::Decoding);
             phases.push(PhaseRecord {
                 phase: Phase::Decode,
                 start: phase_t0,
@@ -1339,7 +1214,7 @@ impl TdPipeEngine {
                 finished: finished_this_phase,
             });
             metrics.on_phase_end(Phase::Decode, phase_t0, now);
-            if !pool.all_finished() {
+            if !run.pool.all_finished() {
                 phase_switches += 1; // decode → prefill
                 journal.record(
                     now,
@@ -1349,13 +1224,13 @@ impl TdPipeEngine {
                     },
                 );
                 assert!(
-                    !pending.is_empty() || !residents.is_empty(),
+                    !lane.pending.is_empty() || !residents.is_empty(),
                     "stuck: unfinished requests but nothing runnable"
                 );
             }
         }
 
-        pool.assert_conserved();
+        run.pool.assert_conserved();
         let plane = sim.plane_stats();
         let (makespan, timeline) = sim.try_finish()?;
         // Device tracks for the Chrome export (only materialise when the
@@ -1367,14 +1242,14 @@ impl TdPipeEngine {
         let report = RunReport {
             scheduler: "TD-Pipe".into(),
             makespan,
-            num_requests: pool.len(),
-            input_tokens: pool.input_tokens,
-            output_tokens: pool.output_tokens,
-            recomputed_tokens: pool.recomputed_tokens,
-            swapped_tokens: pool.swapped_tokens,
+            num_requests: run.pool.len(),
+            input_tokens: run.pool.input_tokens,
+            output_tokens: run.pool.output_tokens,
+            recomputed_tokens: run.pool.recomputed_tokens,
+            swapped_tokens: run.pool.swapped_tokens,
             phase_switches,
             mean_utilization: timeline.mean_utilization(),
-            latency: pool.latency_summary(),
+            latency: run.pool.latency_summary(),
         };
         if let Some(s) = &sess {
             debug_assert!(
@@ -1385,7 +1260,7 @@ impl TdPipeEngine {
         }
         let metrics = metrics.finish(
             &report,
-            alloc.stats(),
+            lane.alloc.stats(),
             self.plan.kv_blocks,
             &timeline,
             plane,

@@ -38,6 +38,7 @@ mod estimate;
 pub mod exec;
 pub mod greedy;
 pub mod intensity;
+pub mod lane;
 pub mod metrics;
 pub mod plan;
 pub mod request;

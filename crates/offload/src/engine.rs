@@ -3,11 +3,12 @@
 
 use crate::contention::{HostLink, NodeOffloadRun};
 use crate::cost::OffloadCost;
+use tdpipe_core::cohort::DecodeCohort;
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::engine::InfeasibleConfig;
+use tdpipe_core::lane::{Recompute, RunState};
 use tdpipe_core::request::RequestPool;
 use tdpipe_hw::NodeSpec;
-use tdpipe_kvcache::BlockAllocator;
 use tdpipe_model::{kv_budget_bytes, ModelSpec};
 use tdpipe_sim::{PipelineSim, RunReport, SegmentKind, TransferMode};
 use tdpipe_workload::Trace;
@@ -55,91 +56,71 @@ impl OffloadEngine {
         self.host_kv_bytes / self.cost.model().kv_bytes_per_token()
     }
 
-    /// Run one replica at a fixed effective host bandwidth.
+    /// Run one replica at a fixed effective host bandwidth. When decode
+    /// growth overflows the host pool, the newest admission is evicted
+    /// and recomputed, exactly as on the GPU-resident engines.
     pub fn run_at_bandwidth(&self, trace: &Trace, host_bw: f64) -> RunReport {
-        let mut pool = RequestPool::new(trace.requests(), |r| r.output_len);
+        let mut run = RunState::new(RequestPool::new(trace.requests(), |r| r.output_len));
         let blocks = self.host_kv_bytes
             / (self.cost.model().kv_bytes_per_token() * self.cfg.block_size as u64);
-        let mut alloc = BlockAllocator::new(blocks, self.cfg.block_size);
+        let mut lane = run.single_lane(blocks, &self.cfg);
         let mut sim = PipelineSim::new(1, TransferMode::Async, self.cfg.record_timeline);
-        let mut pending: std::collections::VecDeque<usize> = (0..pool.len()).collect();
         let mut residents: Vec<usize> = Vec::new();
+        let mut cohort = DecodeCohort::new(self.cfg.block_size);
+        // Context tokens over `residents`, kept by the decode step.
+        let mut ctx = 0u64;
+        let mut lens = Vec::new();
         let mut now = 0.0f64;
         let max_seqs = self.cfg.max_num_seqs.unwrap_or(usize::MAX);
-        let watermark =
-            (blocks as f64 * self.cfg.watermark).ceil() as u64;
 
-        let head_fits = |pending: &std::collections::VecDeque<usize>,
-                         pool: &RequestPool,
-                         alloc: &BlockAllocator| match pending.front() {
-            None => false,
-            Some(&idx) => {
-                let t = pool.prefill_tokens(idx) as u64;
-                alloc.free_blocks() >= t.div_ceil(self.cfg.block_size as u64) + watermark
-            }
-        };
-
-        while !pool.all_finished() {
-            if residents.len() < max_seqs && head_fits(&pending, &pool, &alloc) {
-                // Pack a prefill batch.
-                let mut lens = Vec::new();
-                let mut batch = Vec::new();
-                let mut tokens = 0u32;
-                while batch.len() + residents.len() < max_seqs
-                    && head_fits(&pending, &pool, &alloc)
-                {
-                    let idx = *pending.front().expect("head fits");
-                    let t = pool.prefill_tokens(idx);
-                    if !batch.is_empty() && tokens + t > self.cfg.prefill_token_budget {
-                        break;
-                    }
-                    pending.pop_front();
-                    alloc.allocate(idx as u64, t as u64).expect("checked");
-                    pool.note_prefill(idx, t);
-                    batch.push(idx);
-                    lens.push(t);
-                    tokens += t;
-                }
+        while !run.pool.all_finished() {
+            if residents.len() < max_seqs && run.head_fits(&lane) {
+                let batch = run.pack_prefill_batch(
+                    &mut lane,
+                    self.cfg.prefill_token_budget,
+                    max_seqs - residents.len(),
+                    now,
+                    &mut lens,
+                );
                 let t = self.cost.prefill_time(&lens, host_bw);
                 let timing = sim.launch_monolithic(now, t, SegmentKind::Prefill, 0);
                 for &idx in &batch {
-                    pool.note_first_token(idx, timing.finish);
+                    run.pool.note_first_token(idx, timing.finish);
+                    ctx += run.bank(&mut cohort, idx);
                 }
                 now = timing.finish + self.cfg.engine_overhead;
                 residents.extend(batch);
             } else if !residents.is_empty() {
-                let ctx: u64 = residents.iter().map(|&i| pool.resident_tokens(i)).sum();
                 let t = self.cost.decode_time(residents.len(), ctx, host_bw);
                 let timing = sim.launch_monolithic(now, t, SegmentKind::Decode, 1);
                 now = timing.finish + self.cfg.engine_overhead;
-                residents.retain(|&idx| {
-                    if pool.note_decode_step(idx, timing.finish) {
-                        alloc.free(idx as u64).expect("resident");
-                        false
-                    } else {
-                        alloc.extend_one(idx as u64).expect("host pool is huge");
-                        true
-                    }
-                });
+                run.advance_decode_cohort(
+                    &mut lane,
+                    &mut cohort,
+                    &mut residents,
+                    timing.finish,
+                    &mut ctx,
+                    &mut Recompute,
+                );
             } else {
                 panic!("request exceeds host KV pool");
             }
         }
 
-        pool.assert_conserved();
+        run.pool.assert_conserved();
         let makespan = sim.drained_at();
         let timeline = sim.into_timeline();
         RunReport {
             scheduler: "Offload".into(),
             makespan,
-            num_requests: pool.len(),
-            input_tokens: pool.input_tokens,
-            output_tokens: pool.output_tokens,
-            recomputed_tokens: pool.recomputed_tokens,
-            swapped_tokens: pool.swapped_tokens,
+            num_requests: run.pool.len(),
+            input_tokens: run.pool.input_tokens,
+            output_tokens: run.pool.output_tokens,
+            recomputed_tokens: run.pool.recomputed_tokens,
+            swapped_tokens: run.pool.swapped_tokens,
             phase_switches: 0,
             mean_utilization: timeline.mean_utilization(),
-            latency: pool.latency_summary(),
+            latency: run.pool.latency_summary(),
         }
     }
 
@@ -199,6 +180,24 @@ mod tests {
         let r = engine().run_at_bandwidth(&t, 20.0e9);
         assert_eq!(r.num_requests, 80);
         assert_eq!(r.output_tokens, t.total_output_tokens());
+    }
+
+    #[test]
+    fn overflowing_the_host_pool_evicts_and_recomputes() {
+        // 4 GiB of host KV holds about 5k Llama2-13B tokens, far less
+        // than 80 requests grow to: decode must evict, not abort.
+        let e = OffloadEngine::new(
+            ModelSpec::llama2_13b(),
+            &NodeSpec::l20(1),
+            4 * GIB,
+            EngineConfig::default(),
+        )
+        .unwrap();
+        let t = ShareGptLikeConfig::small(80, 4).generate();
+        let r = e.run_at_bandwidth(&t, 20.0e9);
+        assert_eq!(r.num_requests, 80);
+        assert_eq!(r.output_tokens, t.total_output_tokens());
+        assert!(r.recomputed_tokens > 0, "the pool must overflow");
     }
 
     #[test]
