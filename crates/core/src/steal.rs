@@ -86,8 +86,8 @@ impl WorkStealer {
     /// [`Self::on_batch_return`] that also keeps the batch's running
     /// context-token total `ctx` consistent as members move: withheld
     /// members subtract their resident tokens, supplements add theirs.
-    /// This is what lets the engine maintain `total_ctx` incrementally
-    /// instead of rescanning the batch every decode step.
+    /// This is what lets the engine maintain each batch's context total
+    /// incrementally instead of rescanning the batch every decode step.
     ///
     /// Returns what moved (for the flight recorder); callers that only
     /// want the side effect ignore it.
