@@ -2,7 +2,7 @@
 //!
 //! Mirrors the `SessionRetainer` contract between
 //! `crates/kvcache/src/session.rs` and the engine's
-//! `release_finished`/`reclaim_retained`/admission-claim paths
+//! `TdHook` finish/reclaim/admission-claim paths
 //! (`crates/core/src/engine.rs`): when a turn finishes, its KV blocks may
 //! be *retained* for the session's next turn (the donor keeps its
 //! allocator slot); the successor's admission *claims* the entry (frees

@@ -94,7 +94,8 @@ impl Work<'_> {
 /// Per-run scratch the policies fill, reused across launches.
 #[derive(Default)]
 struct Scratch {
-    /// Separate batching: the prefill batch's sequence lengths.
+    /// The packed prefill batch's sequence lengths (hybrid batching
+    /// packs one prompt at a time and chunks it).
     lens: Vec<u32>,
     /// Hybrid batching: `(chunk_len, cached_prefix)` pairs.
     chunks: Vec<(u32, u32)>,
@@ -275,26 +276,26 @@ impl BaselineEngine {
         now: f64,
     ) -> Option<(Work<'s>, Vec<usize>)> {
         let max_seqs = self.cfg.max_num_seqs.unwrap_or(usize::MAX);
-        let head_arrived = lane
-            .pending
-            .front()
-            .is_some_and(|&i| st.pool.arrival(i) <= now);
-        if head_arrived && slot.residents.len() < max_seqs && st.head_fits(lane) {
-            let batch = st.pack_prefill_batch(
+        let mut batch = Vec::new();
+        if slot.residents.len() < max_seqs {
+            st.pack_prefill_batch(
                 lane,
                 self.cfg.prefill_token_budget,
                 max_seqs - slot.residents.len(),
                 now,
+                &mut batch,
                 &mut scratch.lens,
+                &mut Recompute,
             );
-            debug_assert!(!batch.is_empty());
+        }
+        if !batch.is_empty() {
             Some((Work::Prefill(&scratch.lens), batch))
         } else if !slot.residents.is_empty() {
             let work = Work::Decode {
                 batch: slot.residents.len(),
                 ctx: slot.ctx,
             };
-            Some((work, Vec::new()))
+            Some((work, batch))
         } else {
             None
         }
@@ -317,18 +318,26 @@ impl BaselineEngine {
         let chunks = &mut scratch.chunks;
         chunks.clear();
         let mut completed: Vec<usize> = Vec::new();
+        let mut admitted = Vec::new();
         while budget > 0 {
             if slot.prefilling.is_empty() {
-                let head_arrived = lane
-                    .pending
-                    .front()
-                    .is_some_and(|&i| st.pool.arrival(i) <= now);
-                if head_arrived && batch + completed.len() < max_seqs && st.head_fits(lane) {
-                    let (idx, _) = st.admit_head(lane);
-                    slot.prefilling.push_back((idx, 0));
-                } else {
-                    break;
+                // Admit the next prompt whole; its chunks follow below.
+                if batch + completed.len() < max_seqs {
+                    st.pack_prefill_batch(
+                        lane,
+                        u32::MAX,
+                        1,
+                        now,
+                        &mut admitted,
+                        &mut scratch.lens,
+                        &mut Recompute,
+                    );
                 }
+                let Some(&idx) = admitted.first() else {
+                    break;
+                };
+                admitted.clear();
+                slot.prefilling.push_back((idx, 0));
             }
             let (idx, done) = *slot.prefilling.front().expect("nonempty");
             let total = st.pool.prefill_tokens(idx);

@@ -72,13 +72,17 @@ fn bench_decisions(c: &mut Criterion) {
             || {
                 let mut st = RunState::new(RequestPool::new(trace.requests(), |r| r.output_len));
                 let mut lane = st.single_lane(600, &EngineConfig::default());
-                let mut members = Vec::new();
-                let mut ctx = 0u64;
-                while st.head_fits(&lane) {
-                    let (idx, tokens) = st.admit_head(&mut lane);
-                    members.push(idx);
-                    ctx += tokens as u64;
-                }
+                let (mut members, mut lens) = (Vec::new(), Vec::new());
+                st.pack_prefill_batch(
+                    &mut lane,
+                    u32::MAX,
+                    usize::MAX,
+                    0.0,
+                    &mut members,
+                    &mut lens,
+                    &mut Recompute,
+                );
+                let ctx: u64 = lens.iter().map(|&t| t as u64).sum();
                 (st, lane, members, ctx)
             },
             |(mut st, mut lane, mut members, mut ctx)| {

@@ -3,7 +3,9 @@
 //!
 //! One run alternates long prefill-only and decode-only phases:
 //!
-//! * **Prefill phase** — prompt batches are packed up to a token budget and
+//! * **Prefill phase** — prompt batches are packed up to a token budget by
+//!   the lane's shared packer ([`crate::lane::RunState::pack_prefill_batch`],
+//!   after the phase's first pack swaps host-resident victims back in) and
 //!   streamed back-to-back into the pipeline (no inter-batch dependencies,
 //!   so the pipe stays full). After every launched batch, Algorithm 1
 //!   simulates the future KV usage and decides whether to keep going; see
@@ -30,7 +32,7 @@ use crate::estimate::PrefillEstimateCache;
 use crate::exec::{ExecError, PipelineExecutor, SimExecutor};
 use crate::greedy::GreedyPrefillPlanner;
 use crate::intensity::{IntensityComparator, PrefillPhaseEstimate};
-use crate::lane::{idle_advance, DecodeHook, Lane, RunState};
+use crate::lane::{idle_advance, Lane, LaneHook, RunState};
 use crate::metrics::EngineMetrics;
 use crate::plan::MemoryPlan;
 use crate::request::{Lifecycle, RequestPool};
@@ -111,23 +113,22 @@ struct SessionRun<'a> {
     reuse_misses: u64,
 }
 
-/// Drop idle retained session prefixes (oldest first, never the one
-/// reserved for `keep`) until the allocator has `target` free blocks or
-/// the retention pool runs dry. Returns whether the target was met.
-/// Dropping revokes the dropped successors' prefill discounts, which
-/// changes pending prefill costs — hence the estimate-cache invalidation.
-fn reclaim_retained(
-    sess: &mut SessionRun<'_>,
-    target: u64,
-    keep: Option<u64>,
-    now: f64,
-    alloc: &mut BlockAllocator,
-    pool: &mut RequestPool,
-    est_cache: &mut PrefillEstimateCache,
-    journal: &mut FlightRecorder,
-) -> bool {
-    while alloc.free_blocks() < target {
-        let Some((succ, e)) = sess.retainer.pop_oldest_except(keep) else {
+impl SessionRun<'_> {
+    /// Drop the oldest idle retained prefix (never the one reserved for
+    /// `keep`): free its donor, revoke its successor's prefill discount
+    /// and journal the drop. Revoking the discount changes a pending
+    /// prefill cost, hence the estimate-cache invalidation. Returns
+    /// `false` when nothing is left to drop.
+    fn drop_oldest(
+        &mut self,
+        keep: Option<u64>,
+        now: f64,
+        alloc: &mut BlockAllocator,
+        pool: &mut RequestPool,
+        est_cache: &mut PrefillEstimateCache,
+        journal: &mut FlightRecorder,
+    ) -> bool {
+        let Some((succ, e)) = self.retainer.pop_oldest_except(keep) else {
             return false;
         };
         // analyzer: allow(no-expect) — a retained entry's donor keeps its
@@ -142,124 +143,18 @@ fn reclaim_retained(
             },
         );
         est_cache.invalidate();
+        true
     }
-    true
 }
 
-/// Retire a finished request's KV: retain it for the session successor
-/// when reuse is on and the budget allows (evicting older retained
-/// prefixes first), free it otherwise; then release the successor's
-/// closed-loop arrival (finish + think time), moving it from the pending
-/// queue's unreleased tail to its sorted slot. Returns the tokens `m`
-/// held (its contribution to the departing batch's context), exactly as
-/// `alloc.free` would have reported.
-fn release_finished(
-    m: usize,
+/// TD-Pipe's side of the shared lane paths. Admission: a resumed session
+/// turn gets its retained prefix's blocks back (a reuse hit) or counts as
+/// a miss. Decode: finishers may retain their KV for a session successor,
+/// and victims are recomputed or swapped to host memory and journalled.
+/// Both reclaim idle retained prefixes before giving up on memory.
+struct TdHook<'a, 's> {
+    /// The engine clock that journal events are stamped with.
     now: f64,
-    sess: &mut Option<SessionRun<'_>>,
-    pool: &mut RequestPool,
-    lane: &mut Lane,
-    est_cache: &mut PrefillEstimateCache,
-    journal: &mut FlightRecorder,
-) -> u64 {
-    // The lifecycle terminator: with arrival and first-token stamps
-    // copied in, a journal alone reconstructs every latency component
-    // (the span layer never needs the request pool).
-    journal.record(
-        now,
-        TraceEvent::RequestFinish {
-            request: pool.id(m).0,
-            arrival: pool.arrival(m),
-            first_token: pool.first_token_at(m),
-        },
-    );
-    let Some(s) = sess.as_mut() else {
-        // analyzer: allow(no-expect) — every batch member was allocated at
-        // admission and eviction removes it from its batch, so a finisher
-        // is resident.
-        return lane.alloc.free(m as u64).expect("finished request resident");
-    };
-    let next = s.turns[m].next;
-    // analyzer: allow(no-expect) — finishers are resident (see above).
-    let held = lane.alloc.tokens_of(m as u64).expect("finished request resident");
-    let mut retained = false;
-    if s.reuse {
-        if let Some(succ) = next {
-            let blocks = held.div_ceil(s.block_size);
-            // Make room in the retention budget oldest-first; a budget too
-            // small for this prefix leaves `fits` false and we fall back
-            // to freeing.
-            while !s.retainer.fits(blocks) {
-                let Some((other, e)) = s.retainer.pop_oldest() else {
-                    break;
-                };
-                // analyzer: allow(no-expect) — retained donors stay
-                // resident until claimed or dropped here.
-                lane.alloc.free(e.donor).expect("retained donor resident");
-                pool.clear_reuse_discount(other as usize);
-                journal.record(
-                    now,
-                    TraceEvent::SessionDrop {
-                        request: other,
-                        tokens: e.tokens,
-                    },
-                );
-            }
-            if s.retainer.retain(succ as u64, m as u64, held, blocks) {
-                // The successor will prefill only its fresh suffix while
-                // the prefix survives. `held` is the prior transcript
-                // minus the final sampled token, so it is strictly below
-                // the successor's prompt length.
-                pool.set_reuse_discount(succ as usize, held as u32);
-                journal.record(
-                    now,
-                    TraceEvent::SessionRetain {
-                        request: succ as u64,
-                        tokens: held,
-                    },
-                );
-                retained = true;
-            }
-        }
-    }
-    if !retained {
-        // analyzer: allow(no-expect) — still resident: nothing freed it.
-        lane.alloc.free(m as u64).expect("finished request resident");
-    }
-    if let Some(succ) = next {
-        let succ = succ as usize;
-        let at = now + s.turns[succ].think_s;
-        pool.set_arrival(succ, at);
-        // The successor has never arrived (infinite arrival), so it still
-        // sits in the pending queue's unreleased tail — scan from the
-        // back, where it lives.
-        let p = lane
-            .pending
-            .iter()
-            .rposition(|&i| i == succ)
-            // analyzer: allow(no-expect) — unreleased turns are never
-            // admitted (their arrival is infinite), so the successor
-            // must be pending.
-            .expect("unreleased turn pending");
-        lane.pending.remove(p);
-        // Sorted re-insertion among released-but-future arrivals. The
-        // walk stops before the arrived head region (arrivals <= now <=
-        // at), so the eviction-ordered head layout is preserved.
-        let mut pos = lane.pending.len();
-        while pos > 0 && pool.arrival(lane.pending[pos - 1]) > at {
-            pos -= 1;
-        }
-        lane.pending.insert(pos, succ);
-        est_cache.invalidate();
-    }
-    held
-}
-
-/// TD-Pipe's side of the shared decode step: finishers may retain their
-/// KV for a session successor, idle retained prefixes are reclaimed
-/// before any live member is evicted, and victims are recomputed or
-/// swapped to host memory and journalled.
-struct TdStep<'a, 's> {
     sess: &'a mut Option<SessionRun<'s>>,
     planner: &'a mut GreedyPrefillPlanner,
     est_cache: &'a mut PrefillEstimateCache,
@@ -271,38 +166,167 @@ struct TdStep<'a, 's> {
     swap_out_delay: f64,
 }
 
-impl DecodeHook for TdStep<'_, '_> {
-    fn finish(&mut self, m: usize, now: f64, pool: &mut RequestPool, lane: &mut Lane) -> u64 {
-        let freed = release_finished(m, now, self.sess, pool, lane, self.est_cache, self.journal);
+impl TdHook<'_, '_> {
+    /// Swap-preempted requests re-enter by a host-link transfer, not a
+    /// prefill. Evictions requeue at the head of `lane`'s queue and
+    /// session successors queue behind every arrived request, so the
+    /// swapped form a prefix of the queue: transfer them back in order,
+    /// advancing the clock by each transfer, until the head is not
+    /// swapped or does not fit. Returns how many came back, and
+    /// `Memory` if one did not fit.
+    fn swap_in_prefix(
+        &mut self,
+        run: &mut RunState,
+        lane: &mut Lane,
+        residents: &mut Vec<usize>,
+    ) -> (u64, Option<PrefillStopReason>) {
+        let mut admitted = 0;
+        while let Some(&idx) = lane.pending.front().filter(|&&i| run.pool.swapped(i)) {
+            debug_assert!(run.pool.arrival(idx) <= self.now, "swapped requests arrived");
+            let tokens = run.pool.resident_tokens(idx);
+            let target = lane.blocks_to_admit(tokens);
+            if lane.alloc.free_blocks() < target
+                && !self.reclaim(target, None, &mut run.pool, &mut lane.alloc)
+            {
+                return (admitted, Some(PrefillStopReason::Memory));
+            }
+            // analyzer: allow(no-expect) — guarded just above:
+            // `free_blocks() >= target` makes this allocation infallible.
+            lane.alloc.allocate(idx as u64, tokens).expect("checked");
+            lane.pending.pop_front();
+            run.pool.note_swap_in(idx, tokens);
+            self.now += tokens as f64 * self.kv_bytes_per_token / self.cfg.host_link_bw;
+            run.stamp_admission(idx);
+            residents.push(idx);
+            self.planner.admit(idx, tokens, run.pool.predicted_remaining(idx));
+            admitted += 1;
+            self.journal.record(
+                self.now,
+                TraceEvent::PrefillAdmit {
+                    request: run.pool.id(idx).0,
+                    tokens,
+                    reason: AdmitReason::SwapIn,
+                },
+            );
+            self.metrics.on_prefill_admit(AdmitReason::SwapIn, tokens);
+        }
+        (admitted, None)
+    }
+}
+
+impl LaneHook for TdHook<'_, '_> {
+    /// Retire a finished request's KV: retain it for the session successor
+    /// when reuse is on and the budget allows (evicting older retained
+    /// prefixes first), free it otherwise; then release the successor's
+    /// closed-loop arrival (finish + think time), moving it from the pending
+    /// queue's unreleased tail to its sorted slot. Returns the tokens `m`
+    /// held (its contribution to the departing batch's context), exactly as
+    /// `alloc.free` would have reported.
+    fn finish(&mut self, m: usize, pool: &mut RequestPool, lane: &mut Lane) -> u64 {
         // `remove_request` subtracts the *tracked* contribution, so no
         // settle is needed first.
         self.planner.remove_request(m);
-        freed
+        // The lifecycle terminator: with arrival and first-token stamps
+        // copied in, a journal alone reconstructs every latency component
+        // (the span layer never needs the request pool).
+        self.journal.record(
+            self.now,
+            TraceEvent::RequestFinish {
+                request: pool.id(m).0,
+                arrival: pool.arrival(m),
+                first_token: pool.first_token_at(m),
+            },
+        );
+        let Some(s) = self.sess.as_mut() else {
+            // analyzer: allow(no-expect) — every batch member was allocated
+            // at admission and eviction removes it from its batch, so a
+            // finisher is resident.
+            return lane.alloc.free(m as u64).expect("finished request resident");
+        };
+        let next = s.turns[m].next;
+        // analyzer: allow(no-expect) — finishers are resident (see above).
+        let held = lane.alloc.tokens_of(m as u64).expect("finished request resident");
+        let mut retained = false;
+        if s.reuse {
+            if let Some(succ) = next {
+                let blocks = held.div_ceil(s.block_size);
+                // Make room in the retention budget oldest-first; a budget
+                // too small for this prefix leaves `fits` false and we fall
+                // back to freeing.
+                let (now, alloc) = (self.now, &mut lane.alloc);
+                while !s.retainer.fits(blocks)
+                    && s.drop_oldest(None, now, alloc, pool, self.est_cache, self.journal)
+                {}
+                if s.retainer.retain(succ as u64, m as u64, held, blocks) {
+                    // The successor will prefill only its fresh suffix
+                    // while the prefix survives. `held` is the prior
+                    // transcript minus the final sampled token, so it is
+                    // strictly below the successor's prompt length.
+                    pool.set_reuse_discount(succ as usize, held as u32);
+                    self.journal.record(
+                        self.now,
+                        TraceEvent::SessionRetain {
+                            request: succ as u64,
+                            tokens: held,
+                        },
+                    );
+                    retained = true;
+                }
+            }
+        }
+        if !retained {
+            // analyzer: allow(no-expect) — still resident: nothing freed it.
+            lane.alloc.free(m as u64).expect("finished request resident");
+        }
+        if let Some(succ) = next {
+            let succ = succ as usize;
+            let at = self.now + s.turns[succ].think_s;
+            pool.set_arrival(succ, at);
+            // The successor has never arrived (infinite arrival), so it
+            // still sits in the pending queue's unreleased tail — scan from
+            // the back, where it lives.
+            let p = lane
+                .pending
+                .iter()
+                .rposition(|&i| i == succ)
+                // analyzer: allow(no-expect) — unreleased turns are never
+                // admitted (their arrival is infinite), so the successor
+                // must be pending.
+                .expect("unreleased turn pending");
+            lane.pending.remove(p);
+            // Sorted re-insertion among released-but-future arrivals. The
+            // walk stops before the arrived head region (arrivals <= now
+            // <= at), so the eviction-ordered head layout is preserved.
+            let mut pos = lane.pending.len();
+            while pos > 0 && pool.arrival(lane.pending[pos - 1]) > at {
+                pos -= 1;
+            }
+            lane.pending.insert(pos, succ);
+            self.est_cache.invalidate();
+        }
+        held
     }
 
     fn reclaim(
         &mut self,
         target: u64,
-        now: f64,
+        keep: Option<usize>,
         pool: &mut RequestPool,
         alloc: &mut BlockAllocator,
     ) -> bool {
-        match self.sess.as_mut() {
-            Some(s) => reclaim_retained(
-                s,
-                target,
-                None,
-                now,
-                alloc,
-                pool,
-                self.est_cache,
-                self.journal,
-            ),
-            None => false,
+        let Some(s) = self.sess.as_mut() else {
+            return false;
+        };
+        let keep = keep.map(|k| k as u64);
+        while alloc.free_blocks() < target {
+            if !s.drop_oldest(keep, self.now, alloc, pool, self.est_cache, self.journal) {
+                return false;
+            }
         }
+        true
     }
 
-    fn evicted(&mut self, victim: usize, now: f64, pool: &mut RequestPool) {
+    fn evicted(&mut self, victim: usize, pool: &mut RequestPool) {
         self.planner.remove_request(victim);
         let mode = match self.cfg.preemption {
             PreemptionMode::Recompute => {
@@ -320,7 +344,7 @@ impl DecodeHook for TdStep<'_, '_> {
             }
         };
         self.journal.record(
-            now,
+            self.now,
             TraceEvent::Evict {
                 mode,
                 victim: pool.id(victim).0,
@@ -328,6 +352,39 @@ impl DecodeHook for TdStep<'_, '_> {
         );
         self.metrics.on_evict(mode);
         self.est_cache.invalidate();
+    }
+
+    fn credit(&self, idx: usize) -> u64 {
+        self.sess
+            .as_ref()
+            .and_then(|s| s.retainer.peek(idx as u64))
+            .map_or(0, |c| c.blocks)
+    }
+
+    fn admit(&mut self, idx: usize, pool: &RequestPool, alloc: &mut BlockAllocator) {
+        let Some(s) = self.sess.as_mut() else {
+            return;
+        };
+        if let Some(c) = s.retainer.claim(idx as u64) {
+            // analyzer: allow(no-expect) — retained donors stay resident
+            // until claimed here or dropped.
+            alloc.free(c.donor).expect("retained donor resident");
+            self.journal.record(
+                self.now,
+                TraceEvent::SessionReuseHit {
+                    request: pool.id(idx).0,
+                    tokens: c.tokens,
+                },
+            );
+        } else if s.turns[idx].prev.is_some() && pool.evictions(idx) == 0 {
+            s.reuse_misses += 1;
+            self.journal.record(
+                self.now,
+                TraceEvent::SessionReuseMiss {
+                    request: pool.id(idx).0,
+                },
+            );
+        }
     }
 }
 
@@ -580,7 +637,7 @@ impl TdPipeEngine {
         // §4.4.1 accounting.
         let mut now = run.pool.len() as f64 * predictor.per_request_overhead();
         let mut phase_switches: u32 = 0;
-        let watermark_blocks = lane.watermark_blocks();
+        let kv_bytes_per_token = self.cost.model().kv_bytes_per_token() as f64;
 
         let mut phases: Vec<PhaseRecord> = Vec::new();
         // Prefill completions are consumed lazily (the executor reports in
@@ -638,15 +695,14 @@ impl TdPipeEngine {
                 );
             }
             let mut launched = 0u64;
-            let mut admitted_any = false;
             prefill_members.clear();
             prefill_meta.clear();
-            'prefill: while !lane.pending.is_empty() {
+            while !lane.pending.is_empty() {
                 let stop = match self.cfg.p2d {
                     P2dPolicy::Greedy => planner.would_overflow(),
                     P2dPolicy::FixedOccupancy(r) => lane.alloc.occupancy() >= r,
                 };
-                if stop && admitted_any {
+                if stop && admitted > 0 {
                     journal.record(
                         now,
                         TraceEvent::PrefillStop {
@@ -657,173 +713,66 @@ impl TdPipeEngine {
                     metrics.on_prefill_stop(PrefillStopReason::Overflow);
                     break;
                 }
-                // Pack the next prefill batch up to the token budget.
+                let mut hook = TdHook {
+                    now,
+                    sess: &mut sess,
+                    planner: &mut planner,
+                    est_cache: &mut est_cache,
+                    journal: &mut journal,
+                    metrics: &mut metrics,
+                    cfg: e,
+                    kv_bytes_per_token,
+                    swap_out_delay: 0.0,
+                };
+                // Swapped requests form a prefix of `pending`: only a
+                // phase's first pack meets them, and it admits them before
+                // packing.
+                let (swapped_in, swap_stop) =
+                    hook.swap_in_prefix(&mut run, &mut lane, &mut residents);
+                admitted += swapped_in;
+                debug_assert!(
+                    launched > 0
+                        || swap_stop.is_some()
+                        || !lane.pending.iter().any(|&i| run.pool.swapped(i)),
+                    "swapped requests form a prefix of the pending queue"
+                );
+                // Pack the next prefill batch up to the token budget; a
+                // request can only be prefilled after it has arrived.
                 batch.clear();
-                seq_lens.clear();
-                let mut batch_tokens: u32 = 0;
-                // Why the packing loop below halted (journal; the loop
-                // running the queue dry leaves the default).
-                let mut pack_stop = PrefillStopReason::Exhausted;
-                while let Some(&idx) = lane.pending.front() {
-                    // Online extension: a request can only be prefilled
-                    // after it has arrived.
-                    if run.pool.arrival(idx) > now + launched as f64 * e.engine_overhead {
-                        pack_stop = PrefillStopReason::Arrival;
-                        break;
-                    }
-                    // Swap-preempted requests re-enter via a host-link
-                    // transfer, not a prefill job.
-                    if run.pool.swapped(idx) {
-                        let tokens = run.pool.resident_tokens(idx);
-                        let needed =
-                            tokens.div_ceil(self.plan.block_size as u64);
-                        if lane.alloc.free_blocks() < needed + watermark_blocks {
-                            // Idle retained session prefixes yield to live
-                            // re-admissions before the packer gives up.
-                            let met = match sess.as_mut() {
-                                Some(s) => reclaim_retained(
-                                    s,
-                                    needed + watermark_blocks,
-                                    None,
-                                    now,
-                                    &mut lane.alloc,
-                                    &mut run.pool,
-                                    &mut est_cache,
-                                    &mut journal,
-                                ),
-                                None => false,
-                            };
-                            if !met {
-                                pack_stop = PrefillStopReason::Memory;
-                                break;
-                            }
-                        }
-                        // analyzer: allow(no-expect) — guarded two lines
-                        // up: `free_blocks() >= needed + watermark` makes
-                        // this allocation infallible.
-                        lane.alloc.allocate(idx as u64, tokens).expect("checked");
-                        lane.pending.pop_front();
-                        run.pool.note_swap_in(idx, tokens);
-                        now += tokens as f64
-                            * self.cost.model().kv_bytes_per_token() as f64
-                            / e.host_link_bw;
-                        run.stamp_admission(idx);
-                        residents.push(idx);
-                        planner.admit(idx, tokens, run.pool.predicted_remaining(idx));
-                        admitted_any = true;
-                        admitted += 1;
-                        journal.record(
-                            now,
-                            TraceEvent::PrefillAdmit {
-                                request: run.pool.id(idx).0,
-                                tokens,
-                                reason: AdmitReason::SwapIn,
-                            },
-                        );
-                        metrics.on_prefill_admit(AdmitReason::SwapIn, tokens);
-                        continue;
-                    }
-                    // `t` is what the prefill must *compute* (fresh suffix
-                    // only on a session reuse hit); `full` is what the
-                    // request *occupies* once resident. Equal except on a
-                    // hit, where the donor's retained blocks come back
-                    // first, so they count toward the admission check.
-                    let t = run.pool.prefill_tokens(idx);
-                    if !batch.is_empty() && batch_tokens + t > e.prefill_token_budget {
-                        pack_stop = PrefillStopReason::Budget;
-                        break;
-                    }
-                    let full = run.pool.resident_tokens(idx);
-                    let needed = full.div_ceil(self.plan.block_size as u64);
-                    let donor_blocks = sess
-                        .as_ref()
-                        .and_then(|s| s.retainer.peek(idx as u64))
-                        .map_or(0, |c| c.blocks);
-                    let target = (needed + watermark_blocks).saturating_sub(donor_blocks);
-                    if lane.alloc.free_blocks() < target {
-                        // Reclaim idle retained prefixes (never this
-                        // request's own) before giving up on memory.
-                        let met = match sess.as_mut() {
-                            Some(s) => reclaim_retained(
-                                s,
-                                target,
-                                Some(idx as u64),
-                                now,
-                                &mut lane.alloc,
-                                &mut run.pool,
-                                &mut est_cache,
-                                &mut journal,
-                            ),
-                            None => false,
-                        };
-                        if !met {
-                            pack_stop = PrefillStopReason::Memory;
-                            break; // memory admission stop
-                        }
-                    }
-                    // Session accounting at the moment admission is
-                    // certain: claim the retained prefix (hit) or record
-                    // the miss for a first-time resumed turn.
-                    if let Some(s) = sess.as_mut() {
-                        if let Some(c) = s.retainer.claim(idx as u64) {
-                            // analyzer: allow(no-expect) — retained donors
-                            // stay resident until claimed here or dropped.
-                            lane.alloc.free(c.donor).expect("retained donor resident");
-                            journal.record(
-                                now,
-                                TraceEvent::SessionReuseHit {
-                                    request: run.pool.id(idx).0,
-                                    tokens: c.tokens,
-                                },
-                            );
-                        } else if s.turns[idx].prev.is_some() && run.pool.evictions(idx) == 0 {
-                            s.reuse_misses += 1;
-                            journal.record(
-                                now,
-                                TraceEvent::SessionReuseMiss {
-                                    request: run.pool.id(idx).0,
-                                },
-                            );
-                        }
-                    }
-                    // analyzer: allow(no-expect) — guarded above: the
-                    // admission check reserved `needed + watermark`
-                    // free blocks (counting the just-freed donor), so
-                    // this allocation cannot fail.
-                    lane.alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
-                    lane.pending.pop_front();
-                    batch.push(idx);
-                    seq_lens.push(t);
-                    batch_tokens += t;
-                    if sess.is_some() {
-                        // The discount was consumed by this admission; a
-                        // later eviction re-prefills at full cost.
-                        run.pool.clear_reuse_discount(idx);
-                    }
-                }
+                let pack_stop = swap_stop.unwrap_or_else(|| {
+                    run.pack_prefill_batch(
+                        &mut lane,
+                        e.prefill_token_budget,
+                        usize::MAX,
+                        hook.now + launched as f64 * e.engine_overhead,
+                        &mut batch,
+                        &mut seq_lens,
+                        &mut hook,
+                    )
+                });
+                now = hook.now;
                 if batch.is_empty() {
-                    // Memory full, head not yet arrived, or a single
-                    // request exceeds capacity.
-                    // analyzer: allow(no-expect) — this branch is only
-                    // reachable from the admission loop's `break`s, all
-                    // of which require a non-empty pending queue.
-                    let idx = *lane.pending.front().expect("pending nonempty");
-                    let head_arrived =
-                        run.pool.arrival(idx) <= now + launched as f64 * e.engine_overhead;
-                    if head_arrived && !admitted_any && residents.is_empty() {
-                        // analyzer: allow(no-panic) — unschedulable input
-                        // (one request larger than the whole KV pool):
-                        // a precondition documented under `# Panics` on
-                        // `run_with_arrivals`, not a runtime failure.
-                        panic!(
-                            "request {} ({} tokens) exceeds KV capacity ({} tokens)",
-                            run.pool.id(idx),
-                            run.pool.resident_tokens(idx),
-                            self.plan.token_capacity()
-                        );
+                    // Memory full, head not yet arrived, a single request
+                    // exceeding capacity, or swap-ins drained the queue:
+                    // the packer stopped on its very first candidate or
+                    // had none left.
+                    if let Some(&idx) = lane.pending.front() {
+                        let head_arrived =
+                            run.pool.arrival(idx) <= now + launched as f64 * e.engine_overhead;
+                        if head_arrived && residents.is_empty() {
+                            // analyzer: allow(no-panic) — unschedulable
+                            // input (one request larger than the whole KV
+                            // pool): a precondition documented under
+                            // `# Panics` on `run_with_arrivals`, not a
+                            // runtime failure.
+                            panic!(
+                                "request {} ({} tokens) exceeds KV capacity ({} tokens)",
+                                run.pool.id(idx),
+                                run.pool.resident_tokens(idx),
+                                self.plan.token_capacity()
+                            );
+                        }
                     }
-                    // pack_stop is Arrival or Memory here: an empty batch
-                    // means the packer broke on its very first candidate.
                     journal.record(
                         now,
                         TraceEvent::PrefillStop {
@@ -832,9 +781,9 @@ impl TdPipeEngine {
                         },
                     );
                     metrics.on_prefill_stop(pack_stop);
-                    break 'prefill;
+                    break;
                 }
-                admitted_any = true;
+                let batch_tokens: u32 = seq_lens.iter().sum();
                 self.cost.prefill_job_into(&seq_lens, &mut job);
                 let ready = now + launched as f64 * e.engine_overhead;
                 launched += 1;
@@ -863,7 +812,6 @@ impl TdPipeEngine {
                 prefill_members.extend_from_slice(&batch);
                 prefill_meta.push((start, prefill_members.len(), lane.alloc.occupancy()));
                 for (&idx, &t) in batch.iter().zip(&seq_lens) {
-                    run.pool.note_prefill(idx, t);
                     // The planner tracks *residency*, not prefill work:
                     // on a session reuse hit the two differ (`t` is the
                     // fresh suffix; the request occupies its full
@@ -873,7 +821,6 @@ impl TdPipeEngine {
                         run.pool.resident_tokens(idx),
                         run.pool.predicted_remaining(idx),
                     );
-                    run.stamp_admission(idx);
                     residents.push(idx);
                     admitted += 1;
                     if journal.is_enabled() || metrics.is_enabled() {
@@ -1043,14 +990,15 @@ impl TdPipeEngine {
                 // The batch's cohort banks the step: see
                 // `RunState::advance_decode_cohort`.
                 let mut ctx = batch_ctx[bid];
-                let mut hook = TdStep {
+                let mut hook = TdHook {
+                    now,
                     sess: &mut sess,
                     planner: &mut planner,
                     est_cache: &mut est_cache,
                     journal: &mut journal,
                     metrics: &mut metrics,
                     cfg: e,
-                    kv_bytes_per_token: self.cost.model().kv_bytes_per_token() as f64,
+                    kv_bytes_per_token,
                     swap_out_delay: 0.0,
                 };
                 let finished_now = run.advance_decode_cohort(
@@ -1401,16 +1349,19 @@ mod tests {
         assert!(t4 > 1.5 * t1, "t1={t1:.0} t4={t4:.0}");
     }
 
+    /// Predicts one output token for everything, so Algorithm 1 admits
+    /// far more than fits and decode growth evicts.
+    struct AlwaysOne;
+
+    impl OutputLenPredictor for AlwaysOne {
+        fn predict(&self, _r: &tdpipe_workload::Request) -> u32 {
+            1
+        }
+    }
+
     #[test]
     fn swap_preemption_conserves_and_moves_kv() {
         use crate::config::PreemptionMode;
-        use tdpipe_workload::Request;
-        struct AlwaysOne;
-        impl tdpipe_predictor::OutputLenPredictor for AlwaysOne {
-            fn predict(&self, _r: &Request) -> u32 {
-                1
-            }
-        }
         let t = trace(400);
         let run = |mode| {
             let mut cfg = TdPipeConfig::default();
@@ -1430,6 +1381,43 @@ mod tests {
         assert!(swap.swapped_tokens > 0);
         // Swap moves each evicted token out and back in.
         assert_eq!(swap.swapped_tokens % 2, 0);
+    }
+
+    /// When every pending request is a swapped one and all of them fit,
+    /// the phase's first pack swaps them all back in and leaves the queue
+    /// empty: the phase ends with an `Exhausted` stop (this used to panic
+    /// looking for a pending head).
+    #[test]
+    fn swap_ins_that_empty_the_queue_end_the_phase() {
+        use crate::config::PreemptionMode;
+        let mut cfg = TdPipeConfig {
+            d2p: D2pPolicy::FixedFinishRatio(0.2),
+            ..TdPipeConfig::default()
+        };
+        cfg.engine.preemption = PreemptionMode::Swap;
+        cfg.engine.record_trace = true;
+        let t = ShareGptLikeConfig::small(200, 7).generate();
+        let out = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(1), cfg)
+            .unwrap()
+            .run(&t, &AlwaysOne);
+        assert_eq!(out.report.num_requests, 200);
+        let events = out.journal.events();
+        let drained = events.windows(2).any(|w| {
+            matches!(
+                (&w[0].event, &w[1].event),
+                (
+                    TraceEvent::PrefillAdmit {
+                        reason: AdmitReason::SwapIn,
+                        ..
+                    },
+                    TraceEvent::PrefillStop {
+                        reason: PrefillStopReason::Exhausted,
+                        ..
+                    }
+                )
+            )
+        });
+        assert!(drained, "a phase ends on swap-ins alone");
     }
 
     #[test]

@@ -10,16 +10,26 @@
 //! (That static binding is precisely the inter-batch imbalance TD-Pipe's
 //! work stealing repairs.)
 //!
-//! [`RunState::advance_decode_cohort`] is the only decode step: survivors
-//! extend by one token, and on overflow the newest admission is evicted
-//! and requeued at the lane's head (§3.3, §4.1). The engines differ only
-//! at three points of that step, which a [`DecodeHook`] supplies.
+//! Every engine fills a lane in one way and drains it in one way (§3.3,
+//! §4.1):
+//!
+//! * [`RunState::pack_prefill_batch`] is the only prefill packer: it takes
+//!   the queue's head in order until the head has not yet arrived, the
+//!   token budget is full, or KV memory (less the watermark) runs out,
+//!   and says which of the three stopped it.
+//! * [`RunState::advance_decode_cohort`] is the only decode step:
+//!   survivors extend by one token, and on overflow the newest admission
+//!   is evicted and requeued at the lane's head.
+//!
+//! The engines differ only at a few points of those two paths, which a
+//! [`LaneHook`] supplies.
 
 use crate::cohort::{CohortMembers, DecodeCohort};
 use crate::config::EngineConfig;
 use crate::request::{Lifecycle, RequestPool};
 use std::collections::{BinaryHeap, VecDeque};
 use tdpipe_kvcache::BlockAllocator;
+use tdpipe_trace::PrefillStopReason;
 
 /// One scheduler instance's memory + admission queue.
 pub struct Lane {
@@ -45,33 +55,37 @@ impl Lane {
         }
     }
 
-    /// Blocks admission keeps free (the configured watermark, rounded up).
+    /// Free blocks admitting `tokens` of KV needs: their blocks plus the
+    /// watermark (rounded up) that admission keeps free.
     #[inline]
-    pub(crate) fn watermark_blocks(&self) -> u64 {
-        self.watermark_blocks
+    pub(crate) fn blocks_to_admit(&self, tokens: u64) -> u64 {
+        tokens.div_ceil(self.alloc.block_size() as u64) + self.watermark_blocks
     }
 }
 
-/// What an engine does at the three points where its decode step differs
-/// from the others. Every method has the baselines' behaviour as its
-/// default: free finishers, retain nothing, evict for recompute.
-pub trait DecodeHook {
+/// What an engine does at the points where its admission or decode step
+/// differs from the others. Every method has the baselines' behaviour as
+/// its default: free finishers, retain nothing, evict for recompute.
+/// A hook that journals carries its own clock.
+pub trait LaneHook {
     /// Release finisher `m`'s KV (its banked steps are settled and it is
     /// marked finished) and return the tokens it held, as
     /// [`BlockAllocator::free`] reports them.
-    fn finish(&mut self, m: usize, _now: f64, _pool: &mut RequestPool, lane: &mut Lane) -> u64 {
+    fn finish(&mut self, m: usize, _pool: &mut RequestPool, lane: &mut Lane) -> u64 {
         lane.alloc
             .free(m as u64)
             .expect("finished request resident")
     }
 
-    /// Drop idle retained KV until `alloc` has `target` free blocks;
-    /// returns whether the target was met. Called on a failed extend,
-    /// before any live member is evicted.
+    /// Drop idle retained KV — never the prefix retained for `keep` —
+    /// until `alloc` has `target` free blocks; returns whether the target
+    /// was met. Called before a decode step evicts a live member (no
+    /// `keep`) and before the packer stops on memory (`keep` is the head
+    /// being admitted).
     fn reclaim(
         &mut self,
         _target: u64,
-        _now: f64,
+        _keep: Option<usize>,
         _pool: &mut RequestPool,
         _alloc: &mut BlockAllocator,
     ) -> bool {
@@ -80,15 +94,26 @@ pub trait DecodeHook {
 
     /// Book-keep evicted `victim`: its banked steps are settled and its KV
     /// freed; it is requeued at the lane's head after this returns.
-    fn evicted(&mut self, victim: usize, _now: f64, pool: &mut RequestPool) {
+    fn evicted(&mut self, victim: usize, pool: &mut RequestPool) {
         pool.note_eviction(victim);
     }
+
+    /// KV blocks already held for pending `idx` that come back to the lane
+    /// when it is admitted (a retained session prefix); they count toward
+    /// its admission check.
+    fn credit(&self, _idx: usize) -> u64 {
+        0
+    }
+
+    /// The packer admits `idx` next: hand back its credited blocks and
+    /// book-keep, before its allocation.
+    fn admit(&mut self, _idx: usize, _pool: &RequestPool, _alloc: &mut BlockAllocator) {}
 }
 
-/// The baselines' [`DecodeHook`]: every default.
+/// The baselines' [`LaneHook`]: every default.
 pub struct Recompute;
 
-impl DecodeHook for Recompute {}
+impl LaneHook for Recompute {}
 
 /// Global per-run state: the request pool plus admission bookkeeping.
 pub struct RunState {
@@ -156,19 +181,6 @@ impl RunState {
         self.make_lanes(1, blocks, cfg).remove(0)
     }
 
-    /// Whether the head of `lane`'s pending queue fits its memory now
-    /// (respecting the watermark).
-    pub fn head_fits(&self, lane: &Lane) -> bool {
-        match lane.pending.front() {
-            None => false,
-            Some(&idx) => {
-                let t = self.pool.prefill_tokens(idx) as u64;
-                let needed = t.div_ceil(lane.alloc.block_size() as u64);
-                lane.alloc.free_blocks() >= needed + lane.watermark_blocks
-            }
-        }
-    }
-
     /// Stamp `idx` as the newest admission (the last eviction candidate
     /// to survive).
     pub(crate) fn stamp_admission(&mut self, idx: usize) {
@@ -176,54 +188,64 @@ impl RunState {
         self.next_seq += 1;
     }
 
-    /// Admit the head of `lane`'s queue: allocate its KV, mark it
-    /// prefilled, stamp its admission sequence. Returns `(index, tokens)`.
+    /// Pack the next prefill batch from the head of `lane`'s queue, in
+    /// order: pool indices go to `batch`, the tokens each prefill computes
+    /// to `lens` (less than the request's residency on a session reuse
+    /// hit). Each member is allocated its full residency, marked
+    /// prefilled and stamped as the newest admission.
     ///
-    /// # Panics
-    /// Panics if the head does not fit (callers check [`Self::head_fits`]).
-    pub fn admit_head(&mut self, lane: &mut Lane) -> (usize, u32) {
-        let idx = lane.pending.pop_front().expect("pending nonempty");
-        let t = self.pool.prefill_tokens(idx);
-        lane.alloc
-            .allocate(idx as u64, t as u64)
-            .expect("caller checked head_fits");
-        self.pool.note_prefill(idx, t);
-        self.stamp_admission(idx);
-        (idx, t)
-    }
-
-    /// Pack a separate-batching prefill batch from `lane`'s queue, up to
-    /// `token_budget` tokens and `max_new` sequences, stopping early when
-    /// memory runs out or the head has not yet arrived by `now`. Returns
-    /// the pool indices and writes their sequence lengths into the
-    /// caller-owned `lens` (the batch itself travels into the engine's
-    /// in-flight queue).
+    /// Each head is checked in turn: has it arrived by `ready`, does it
+    /// fit the batch's `token_budget` tokens and `max_new` sequences (a
+    /// lone request always fits the token budget), and does its KV fit
+    /// memory less the watermark, counting the blocks `hook` credits to it
+    /// and asking `hook` to reclaim before giving up. The first check to
+    /// fail stops the batch and is returned; a queue run dry returns
+    /// [`PrefillStopReason::Exhausted`].
+    #[allow(clippy::too_many_arguments)]
     pub fn pack_prefill_batch(
         &mut self,
         lane: &mut Lane,
         token_budget: u32,
         max_new: usize,
-        now: f64,
+        ready: f64,
+        batch: &mut Vec<usize>,
         lens: &mut Vec<u32>,
-    ) -> Vec<usize> {
-        let mut batch = Vec::new();
+        hook: &mut impl LaneHook,
+    ) -> PrefillStopReason {
+        batch.clear();
         lens.clear();
         let mut tokens = 0u32;
-        while batch.len() < max_new && self.head_fits(lane) {
-            let head = *lane.pending.front().expect("head fits");
-            if self.pool.arrival(head) > now {
-                break;
+        while let Some(&idx) = lane.pending.front() {
+            if self.pool.arrival(idx) > ready {
+                return PrefillStopReason::Arrival;
             }
-            let t = self.pool.prefill_tokens(head);
-            if !batch.is_empty() && tokens + t > token_budget {
-                break;
+            let t = self.pool.prefill_tokens(idx);
+            if batch.len() >= max_new || (!batch.is_empty() && tokens + t > token_budget) {
+                return PrefillStopReason::Budget;
             }
-            let (idx, t) = self.admit_head(lane);
+            let target = lane
+                .blocks_to_admit(self.pool.resident_tokens(idx))
+                .saturating_sub(hook.credit(idx));
+            if lane.alloc.free_blocks() < target
+                && !hook.reclaim(target, Some(idx), &mut self.pool, &mut lane.alloc)
+            {
+                return PrefillStopReason::Memory;
+            }
+            hook.admit(idx, &self.pool, &mut lane.alloc);
+            lane.alloc
+                .allocate(idx as u64, self.pool.resident_tokens(idx))
+                .expect("admission check guaranteed fit");
+            lane.pending.pop_front();
+            self.pool.note_prefill(idx, t);
+            // This prefill consumes any session discount: a later eviction
+            // re-prefills at full cost.
+            self.pool.clear_reuse_discount(idx);
+            self.stamp_admission(idx);
             batch.push(idx);
             lens.push(t);
             tokens += t;
         }
-        batch
+        PrefillStopReason::Exhausted
     }
 
     /// Bank decoding request `m` into `coh` at its current residency;
@@ -252,17 +274,10 @@ impl RunState {
     /// Evict member `victim`, whose banked state is settled: free
     /// its KV, drop it from `ctx`, let `hook` book-keep it, and requeue it
     /// at the lane's head.
-    fn evict(
-        &mut self,
-        lane: &mut Lane,
-        victim: usize,
-        now: f64,
-        ctx: &mut u64,
-        hook: &mut impl DecodeHook,
-    ) {
+    fn evict(&mut self, lane: &mut Lane, victim: usize, ctx: &mut u64, hook: &mut impl LaneHook) {
         lane.alloc.free(victim as u64).expect("victim resident");
         *ctx -= self.pool.resident_tokens(victim);
-        hook.evicted(victim, now, &mut self.pool);
+        hook.evicted(victim, &mut self.pool);
         self.evictions += 1;
         lane.pending.push_front(victim);
     }
@@ -315,7 +330,7 @@ impl RunState {
         members: &mut Vec<usize>,
         now: f64,
         ctx: &mut u64,
-        hook: &mut impl DecodeHook,
+        hook: &mut impl LaneHook,
     ) -> usize {
         let mut finished_now = 0usize;
         // Every member generates one token this step.
@@ -324,7 +339,7 @@ impl RunState {
         members.retain(|&idx| {
             if pool.note_decode_step(idx, now) {
                 // The allocation lags the just-generated token by one.
-                *ctx -= hook.finish(idx, now, pool, lane) + 1;
+                *ctx -= hook.finish(idx, pool, lane) + 1;
                 finished_now += 1;
                 false
             } else {
@@ -340,7 +355,7 @@ impl RunState {
             }
             let idx = members[i];
             if lane.alloc.extend_one(idx as u64).is_ok()
-                || (hook.reclaim(1, now, &mut self.pool, &mut lane.alloc)
+                || (hook.reclaim(1, None, &mut self.pool, &mut lane.alloc)
                     && lane.alloc.extend_one(idx as u64).is_ok())
             {
                 i += 1;
@@ -354,7 +369,7 @@ impl RunState {
             // `evicted` check at the loop head re-routes, otherwise
             // retry this slot.
             let victim = members[self.pop_victim()];
-            self.evict(lane, victim, now, ctx, hook);
+            self.evict(lane, victim, ctx, hook);
         }
         if heap_built {
             let mut p = 0;
@@ -372,12 +387,12 @@ impl RunState {
     /// (joined at admission): O(finishers) instead of O(members).
     ///
     /// 1. Finishers drain from their finish-epoch bucket, settle their
-    ///    banked state and retire through [`DecodeHook::finish`].
+    ///    banked state and retire through [`LaneHook::finish`].
     /// 2. If free memory covers the survivors' block demand, that growth
     ///    is one aggregate extend. Otherwise the step walks only the
     ///    members crossing a block boundary — they alone consume memory,
     ///    so they alone shape the eviction schedule. Each that finds no
-    ///    free block first asks [`DecodeHook::reclaim`], then evicts the
+    ///    free block first asks [`LaneHook::reclaim`], then evicts the
     ///    newest admission, settling just the victim.
     ///
     /// This reproduces [`Self::advance_decode_ctx`] exactly: victims,
@@ -391,7 +406,7 @@ impl RunState {
         members: &mut Vec<usize>,
         now: f64,
         ctx: &mut u64,
-        hook: &mut impl DecodeHook,
+        hook: &mut impl LaneHook,
     ) -> usize {
         debug_assert_eq!(coh.live(), members.len());
         // Every member generates one token this step.
@@ -403,7 +418,7 @@ impl RunState {
             lane.alloc.advance_tokens(m as u64, extends as u64);
             self.pool.finish_decode(m, extends + 1, now);
             // The allocation lags the just-generated token by one.
-            *ctx -= hook.finish(m, now, &mut self.pool, lane) + 1;
+            *ctx -= hook.finish(m, &mut self.pool, lane) + 1;
         }
         if lane.alloc.free_blocks() >= coh.step_grows() as u64 {
             lane.alloc
@@ -440,7 +455,7 @@ impl RunState {
             // A failed extend: one OutOfMemory rejection, whether a
             // reclaim or an eviction resolves it.
             rejections += 1;
-            if hook.reclaim(grows_taken + 1, now, &mut self.pool, &mut lane.alloc) {
+            if hook.reclaim(grows_taken + 1, None, &mut self.pool, &mut lane.alloc) {
                 grows_taken += 1;
                 i += 1;
                 continue;
@@ -457,7 +472,7 @@ impl RunState {
             lane.alloc
                 .advance_tokens(victim as u64, (p - 1 + extended) as u64);
             extra_extends += extended as u64;
-            self.evict(lane, victim, now, ctx, hook);
+            self.evict(lane, victim, ctx, hook);
             // The victim may be the member we were extending (it held
             // the newest admission): its demand is gone — move on.
             // Otherwise the freed blocks let the same member retry.
@@ -520,6 +535,38 @@ mod tests {
         RunState::new(RequestPool::new(t.requests(), |r| r.output_len))
     }
 
+    /// Pack one batch from `lane`; returns the stop reason, the batch and
+    /// its prefill lengths.
+    fn pack(
+        st: &mut RunState,
+        lane: &mut Lane,
+        budget: u32,
+        max_new: usize,
+        ready: f64,
+        hook: &mut impl LaneHook,
+    ) -> (PrefillStopReason, Vec<usize>, Vec<u32>) {
+        let (mut batch, mut lens) = (Vec::new(), Vec::new());
+        let stop = st.pack_prefill_batch(lane, budget, max_new, ready, &mut batch, &mut lens, hook);
+        (stop, batch, lens)
+    }
+
+    /// Pack everything that has arrived by 0 s and fits, with no batch
+    /// limit.
+    fn pack_all(
+        st: &mut RunState,
+        lane: &mut Lane,
+        hook: &mut impl LaneHook,
+    ) -> (PrefillStopReason, Vec<usize>, Vec<u32>) {
+        pack(st, lane, u32::MAX, usize::MAX, 0.0, hook)
+    }
+
+    /// Admit every request that fits, in order; returns the members and
+    /// their context tokens.
+    fn admit_all(st: &mut RunState, lane: &mut Lane) -> (Vec<usize>, u64) {
+        let (_, members, lens) = pack_all(st, lane, &mut Recompute);
+        (members, lens.iter().map(|&t| t as u64).sum())
+    }
+
     /// One reference step over `members`, pricing `ctx` from the pool.
     fn step(st: &mut RunState, lane: &mut Lane, members: &mut Vec<usize>, now: f64) -> usize {
         let mut ctx = members.iter().map(|&m| st.pool.resident_tokens(m)).sum();
@@ -542,8 +589,7 @@ mod tests {
     fn packing_respects_token_budget_and_memory() {
         let mut st = state(50);
         let mut lane = st.single_lane(100_000, &EngineConfig::default());
-        let mut lens = Vec::new();
-        let batch = st.pack_prefill_batch(&mut lane, 1024, usize::MAX, 0.0, &mut lens);
+        let (_, batch, lens) = pack(&mut st, &mut lane, 1024, usize::MAX, 0.0, &mut Recompute);
         assert!(!batch.is_empty());
         let total: u32 = lens.iter().sum();
         assert!(total <= 2048 || batch.len() == 1);
@@ -556,19 +602,135 @@ mod tests {
     fn memory_exhaustion_stops_admission() {
         let mut st = state(50);
         let mut lane = st.single_lane(10, &EngineConfig::default()); // 160 tokens of KV
-        let batch = st.pack_prefill_batch(&mut lane, u32::MAX, usize::MAX, 0.0, &mut Vec::new());
+        let (stop, batch, _) = pack_all(&mut st, &mut lane, &mut Recompute);
+        assert_eq!(stop, PrefillStopReason::Memory);
         assert!(batch.len() < 50, "tiny pool cannot admit everything");
-        assert!(!st.head_fits(&lane));
+    }
+
+    #[test]
+    fn max_new_caps_the_batch() {
+        let mut st = state(10);
+        let mut lane = st.single_lane(100_000, &EngineConfig::default());
+        let (stop, batch, _) = pack(&mut st, &mut lane, u32::MAX, 3, 0.0, &mut Recompute);
+        assert_eq!((stop, batch), (PrefillStopReason::Budget, vec![0, 1, 2]));
+        assert_eq!(lane.pending.len(), 7);
+    }
+
+    /// A pool of `n` requests (prompts from `seed`) arriving at `arrivals`
+    /// (empty: all at 0) and a watermark-free lane of `blocks` blocks.
+    fn lane_of(n: usize, seed: u64, arrivals: &[f64], blocks: u64) -> (RunState, Lane) {
+        let t = ShareGptLikeConfig::small(n, seed).generate();
+        let st = RunState::new(RequestPool::with_arrivals(t.requests(), arrivals, |r| {
+            r.output_len
+        }));
+        let cfg = EngineConfig {
+            watermark: 0.0,
+            ..EngineConfig::default()
+        };
+        let lane = st.single_lane(blocks, &cfg);
+        (st, lane)
+    }
+
+    /// When the second head fails several checks at once, the stop reason
+    /// names the first in the order arrival > budget > memory.
+    #[test]
+    fn stop_reason_follows_arrival_then_budget_then_memory() {
+        use PrefillStopReason::*;
+        // Two requests arriving at 0 and 1 s; the lane holds exactly the
+        // first one's blocks plus `extra`.
+        let two = |extra: u64| {
+            let (st, _) = lane_of(2, 11, &[0.0, 1.0], 0);
+            let first = st.pool.resident_tokens(0).div_ceil(16);
+            lane_of(2, 11, &[0.0, 1.0], first + extra)
+        };
+        let t0 = two(0).0.pool.prefill_tokens(0);
+        // (extra blocks, token budget, ready): the second head is …
+        let cases = [
+            (0, t0, 0.5, Arrival),      // … late, too big, without room
+            (0, t0, 1.0, Budget),       // … too big, without room
+            (0, u32::MAX, 1.0, Memory), // … without room
+            (1 << 20, u32::MAX, 1.0, Exhausted),
+        ];
+        for (extra, budget, ready, want) in cases {
+            let (mut st, mut lane) = two(extra);
+            let (stop, batch, _) = pack(
+                &mut st,
+                &mut lane,
+                budget,
+                usize::MAX,
+                ready,
+                &mut Recompute,
+            );
+            let admitted = if want == Exhausted { 2 } else { 1 };
+            assert_eq!((stop, batch.len()), (want, admitted));
+            assert_eq!(lane.pending.len(), 2 - admitted, "{want:?}");
+        }
+    }
+
+    /// Request 0 with half its prompt (block-aligned) retained for it
+    /// under donor id 1 as a reuse discount, an older retained prefix of
+    /// `other` blocks for somebody else under id 2, and `short` blocks
+    /// fewer free than the request needs once its own prefix is credited.
+    fn retained_setup(other: u64, short: u64) -> (RunState, Lane, Probe, u64) {
+        let (st, _) = lane_of(1, 5, &[], 0);
+        let full = st.pool.resident_tokens(0);
+        let prefix = full / 2 / 16 * 16;
+        assert!(prefix > 0);
+        let (mut st, mut lane) = lane_of(1, 5, &[], full.div_ceil(16) + other - short);
+        let mut hook = Probe::new(false);
+        if other > 0 {
+            lane.alloc.allocate(2, other * 16).unwrap();
+            hook.retained.push_back((usize::MAX, 2, other));
+        }
+        lane.alloc.allocate(1, prefix).unwrap();
+        hook.retained.push_back((0, 1, prefix / 16));
+        st.pool.set_reuse_discount(0, prefix as u32);
+        (st, lane, hook, prefix)
+    }
+
+    /// A session hit whose credited donor blocks make it fit is admitted,
+    /// allocated at full residency, prefilling only its fresh suffix;
+    /// without the credit the same lane stops on memory.
+    #[test]
+    fn credited_session_hit_is_admitted_at_full_residency() {
+        let (mut st, mut lane, mut hook, prefix) = retained_setup(0, 0);
+        let full = st.pool.resident_tokens(0);
+        assert!(lane.alloc.free_blocks() < full.div_ceil(16));
+        let (stop, _, lens) = pack_all(&mut st, &mut lane, &mut hook);
+        assert_eq!(stop, PrefillStopReason::Exhausted);
+        assert_eq!(lens, vec![(full - prefix) as u32], "prefills the suffix");
+        assert_eq!(hook.log, vec![('c', 1)]);
+        assert_eq!(lane.alloc.tokens_of(0).unwrap(), full, "full residency");
+        assert_eq!(st.pool.prefill_tokens(0), full as u32, "discount consumed");
+
+        let (mut st, mut lane, ..) = retained_setup(0, 0);
+        let (stop, ..) = pack_all(&mut st, &mut lane, &mut Recompute);
+        assert_eq!(stop, PrefillStopReason::Memory);
+    }
+
+    /// Making room for a head, a reclaim drops other retained prefixes but
+    /// never the head's own: with only its own left, the packer stops.
+    #[test]
+    fn reclaim_never_drops_the_heads_own_prefix() {
+        // Another idle prefix holds the missing block: dropped, then fits.
+        let (mut st, mut lane, mut hook, _) = retained_setup(1, 1);
+        let (stop, ..) = pack_all(&mut st, &mut lane, &mut hook);
+        assert_eq!(stop, PrefillStopReason::Exhausted);
+        assert_eq!(hook.log, vec![('r', 2), ('c', 1)]);
+        // Only the head's own prefix to drop: it stays, the head waits.
+        let (mut st, mut lane, mut hook, _) = retained_setup(0, 1);
+        let (stop, ..) = pack_all(&mut st, &mut lane, &mut hook);
+        assert_eq!(stop, PrefillStopReason::Memory);
+        assert!(hook.log.is_empty());
+        assert!(lane.alloc.contains(1), "own prefix still retained");
     }
 
     #[test]
     fn advance_decode_retires_and_extends() {
         let mut st = state(4);
         let mut lane = st.single_lane(100_000, &EngineConfig::default());
-        let mut members = Vec::new();
-        for _ in 0..4 {
-            members.push(st.admit_head(&mut lane).0);
-        }
+        let (mut members, _) = admit_all(&mut st, &mut lane);
+        assert_eq!(members.len(), 4);
         let fin = step(&mut st, &mut lane, &mut members, 1.0);
         assert_eq!(st.pool.output_tokens, 4);
         assert_eq!(members.len(), 4 - fin);
@@ -585,10 +747,7 @@ mod tests {
     fn overflow_evicts_newest_to_lane_pending() {
         let mut st = state(3);
         let mut lane = st.single_lane(64, &EngineConfig::default());
-        let mut members = Vec::new();
-        while st.head_fits(&lane) {
-            members.push(st.admit_head(&mut lane).0);
-        }
+        let (mut members, _) = admit_all(&mut st, &mut lane);
         assert!(!members.is_empty());
         for _ in 0..5000 {
             if members.is_empty() || st.evictions > 0 {
@@ -600,18 +759,48 @@ mod tests {
         assert!(lane.alloc.used_blocks() <= lane.alloc.num_blocks());
     }
 
-    /// A hook with session-style retained prefixes (allocations under ids
-    /// past the pool, dropped oldest first) and either eviction mode,
-    /// logging every call so both step implementations can be compared
-    /// call for call.
+    /// A hook with session-style retained prefixes — `(successor, donor,
+    /// blocks)` allocations under ids past the pool, oldest first — and
+    /// either eviction mode, logging every call so both step
+    /// implementations can be compared call for call. A head's own prefix
+    /// is credited to its admission and claimed by it; reclaims drop the
+    /// oldest other prefix.
     struct Probe {
         swap: bool,
-        retained: VecDeque<u64>,
+        retained: VecDeque<(usize, u64, u64)>,
         log: Vec<(char, usize)>,
     }
 
-    impl DecodeHook for Probe {
-        fn finish(&mut self, m: usize, _now: f64, _pool: &mut RequestPool, lane: &mut Lane) -> u64 {
+    impl Probe {
+        fn new(swap: bool) -> Self {
+            let (retained, log) = (VecDeque::new(), Vec::new());
+            Probe {
+                swap,
+                retained,
+                log,
+            }
+        }
+
+        /// Free the oldest retained prefix whose successor passes `which`
+        /// and log it under `tag`.
+        fn take(
+            &mut self,
+            tag: char,
+            which: impl Fn(usize) -> bool,
+            alloc: &mut BlockAllocator,
+        ) -> bool {
+            let Some(p) = self.retained.iter().position(|&(s, ..)| which(s)) else {
+                return false;
+            };
+            let (_, donor, _) = self.retained.remove(p).unwrap();
+            alloc.free(donor).unwrap();
+            self.log.push((tag, donor as usize));
+            true
+        }
+    }
+
+    impl LaneHook for Probe {
+        fn finish(&mut self, m: usize, _pool: &mut RequestPool, lane: &mut Lane) -> u64 {
             self.log.push(('f', m));
             lane.alloc.free(m as u64).unwrap()
         }
@@ -619,27 +808,34 @@ mod tests {
         fn reclaim(
             &mut self,
             target: u64,
-            _now: f64,
+            keep: Option<usize>,
             _pool: &mut RequestPool,
             alloc: &mut BlockAllocator,
         ) -> bool {
             while alloc.free_blocks() < target {
-                let Some(donor) = self.retained.pop_front() else {
+                if !self.take('r', |s| Some(s) != keep, alloc) {
                     return false;
-                };
-                alloc.free(donor).unwrap();
-                self.log.push(('r', donor as usize));
+                }
             }
             true
         }
 
-        fn evicted(&mut self, victim: usize, _now: f64, pool: &mut RequestPool) {
+        fn evicted(&mut self, victim: usize, pool: &mut RequestPool) {
             self.log.push(('e', victim));
             if self.swap {
                 pool.note_swap_out(victim);
             } else {
                 pool.note_eviction(victim);
             }
+        }
+
+        fn credit(&self, idx: usize) -> u64 {
+            let own = self.retained.iter().find(|&&(s, ..)| s == idx);
+            own.map_or(0, |&(.., blocks)| blocks)
+        }
+
+        fn admit(&mut self, idx: usize, _pool: &RequestPool, alloc: &mut BlockAllocator) {
+            self.take('c', |s| s == idx, alloc);
         }
     }
 
@@ -673,23 +869,13 @@ mod tests {
             let setup = || {
                 let mut st = RunState::new(RequestPool::new(t.requests(), |r| r.output_len));
                 let mut lane = st.single_lane(need + 6 + 2 * donors, &cfg);
-                let mut probe = Probe {
-                    swap,
-                    retained: VecDeque::new(),
-                    log: Vec::new(),
-                };
+                let mut probe = Probe::new(swap);
                 for d in 0..donors {
                     let id = (st.pool.len() as u64) + d;
                     lane.alloc.allocate(id, 2 * bs).unwrap();
-                    probe.retained.push_back(id);
+                    probe.retained.push_back((usize::MAX, id, 2));
                 }
-                let mut members = Vec::new();
-                let mut ctx = 0u64;
-                while st.head_fits(&lane) {
-                    let (idx, tokens) = st.admit_head(&mut lane);
-                    members.push(idx);
-                    ctx += tokens as u64;
-                }
+                let (mut members, ctx) = admit_all(&mut st, &mut lane);
                 assert!(members.len() >= 16, "scenario admits most requests");
                 if reversed {
                     members.reverse();

@@ -69,19 +69,24 @@ impl OffloadEngine {
         let mut cohort = DecodeCohort::new(self.cfg.block_size);
         // Context tokens over `residents`, kept by the decode step.
         let mut ctx = 0u64;
-        let mut lens = Vec::new();
+        let (mut batch, mut lens) = (Vec::new(), Vec::new());
         let mut now = 0.0f64;
         let max_seqs = self.cfg.max_num_seqs.unwrap_or(usize::MAX);
 
         while !run.pool.all_finished() {
-            if residents.len() < max_seqs && run.head_fits(&lane) {
-                let batch = run.pack_prefill_batch(
+            batch.clear();
+            if residents.len() < max_seqs {
+                run.pack_prefill_batch(
                     &mut lane,
                     self.cfg.prefill_token_budget,
                     max_seqs - residents.len(),
                     now,
+                    &mut batch,
                     &mut lens,
+                    &mut Recompute,
                 );
+            }
+            if !batch.is_empty() {
                 let t = self.cost.prefill_time(&lens, host_bw);
                 let timing = sim.launch_monolithic(now, t, SegmentKind::Prefill, 0);
                 for &idx in &batch {
@@ -89,7 +94,7 @@ impl OffloadEngine {
                     ctx += run.bank(&mut cohort, idx);
                 }
                 now = timing.finish + self.cfg.engine_overhead;
-                residents.extend(batch);
+                residents.extend_from_slice(&batch);
             } else if !residents.is_empty() {
                 let t = self.cost.decode_time(residents.len(), ctx, host_bw);
                 let timing = sim.launch_monolithic(now, t, SegmentKind::Decode, 1);
