@@ -40,7 +40,9 @@ use tdpipe::spans::{
     span_table, validate_bubble_report, validate_span_report,
 };
 use tdpipe::trace::{chrome_trace, decision_table, validate_chrome_trace, FlightRecorder};
-use tdpipe::workload::{ArrivalProcess, SessionConfig, ShareGptLikeConfig, Trace, TraceStats};
+use tdpipe::workload::{
+    ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, Trace, TraceStats,
+};
 
 const USAGE: &str = "\
 tdpipe-cli — TD-Pipe simulation driver
@@ -88,6 +90,12 @@ Defaults: --model 13b --node l20 --gpus 4 --scheduler td --requests 1000
           --router jsq --slo-ttft 10
 ";
 
+/// Every flag any command reads; [`Args::parse`] rejects the rest, so a
+/// misspelt flag is an error instead of a silently applied default.
+const FLAGS: &str = "arrival baseline check chrome-out current file gpus journal journal-out \
+    labels metrics-out model node out pool predictor prom-out rate replicas requests reuse router \
+    scheduler seed sessions slo-ttft threshold trace-out";
+
 struct Args(BTreeMap<String, String>);
 
 impl Args {
@@ -98,6 +106,9 @@ impl Args {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{a}'"));
             };
+            if !FLAGS.split_whitespace().any(|f| f == key) {
+                return Err(format!("unknown flag '{a}'"));
+            }
             let val = it
                 .next()
                 .ok_or_else(|| format!("--{key} needs a value"))?;
@@ -309,10 +320,8 @@ fn load_journals(
 /// TD-Pipe scheduler, with session-KV reuse controlled by `--reuse`.
 #[allow(clippy::too_many_arguments)]
 fn run_sessions_cmd(
-    num_sessions: usize,
-    arrival: ArrivalProcess,
+    sessions: &SessionTrace,
     reuse: bool,
-    seed: u64,
     model: &ModelSpec,
     node: &NodeSpec,
     predictor: &dyn OutputLenPredictor,
@@ -320,9 +329,6 @@ fn run_sessions_cmd(
     trace_out: Option<&str>,
     journal_out: Option<&str>,
 ) -> Result<(RunReport, MetricsSnapshot), String> {
-    let mut sc = SessionConfig::small(num_sessions, seed);
-    sc.arrival = arrival;
-    let sessions = sc.generate();
     let record = record_metrics || trace_out.is_some() || journal_out.is_some();
     let cfg = TdPipeConfig {
         engine: EngineConfig {
@@ -336,7 +342,7 @@ fn run_sessions_cmd(
     };
     let out = TdPipeEngine::new(model.clone(), node, cfg)
         .map_err(|e| e.to_string())?
-        .run_sessions(&sessions, predictor);
+        .run_sessions(sessions, predictor);
     println!(
         "sessions: {} sessions -> {} turns, reuse {}",
         sessions.num_sessions,
@@ -399,20 +405,9 @@ fn write_recordings(
     Ok(())
 }
 
-/// A TD-Pipe run with the flight recorder (and, when `timeline` is set,
-/// per-segment recording for the Chrome export) switched on.
-fn run_td_traced(
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    predictor: &dyn OutputLenPredictor,
-    timeline: bool,
-) -> Result<RunOutcome, String> {
-    run_td_instrumented(model, node, trace, &[], predictor, timeline, false)
-}
-
-/// [`run_td_traced`] with per-request arrival times (empty: offline) and
-/// the metrics plane optionally switched on too.
+/// A TD-Pipe run on per-request arrival times (empty: offline) with the
+/// flight recorder switched on, plus per-segment recording for the
+/// Chrome export (`timeline`) and the metrics plane (`metrics`) if asked.
 fn run_td_instrumented(
     model: &ModelSpec,
     node: &NodeSpec,
@@ -567,6 +562,9 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
     let args = Args::parse(rest)?;
     let model = model_of(&args.get("model", "13b"))?;
     let gpus = args.usize("gpus", 4)? as u32;
+    if gpus == 0 {
+        return Err("--gpus: need at least one GPU".into());
+    }
     let node = node_of(&args.get("node", "l20"), gpus)?;
     let requests = args.usize("requests", 1000)?;
     let seed = args.usize("seed", 42)? as u64;
@@ -604,6 +602,23 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 ArrivalProcess::Offline => Vec::new(),
                 p => p.sample(trace.len()),
             };
+            let sessions = match args.opt("sessions") {
+                None => None,
+                Some(_) => {
+                    let num_sessions = args.usize("sessions", 0)?;
+                    if num_sessions == 0 {
+                        return Err("--sessions: need at least one session".into());
+                    }
+                    let mut sc = SessionConfig::small(num_sessions, seed);
+                    sc.arrival = arrival;
+                    Some(sc.generate())
+                }
+            };
+            let reuse = match args.get("reuse", "on").as_str() {
+                "on" => true,
+                "off" => false,
+                other => return Err(format!("--reuse: 'on' or 'off', got '{other}'")),
+            };
             let fleet_mode = ["replicas", "pool", "router"]
                 .iter()
                 .any(|k| args.opt(k).is_some());
@@ -621,60 +636,35 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 let pool_spec = args.get("pool", &format!("{node_name}:{num_replicas}"));
                 let router = args.get("router", "jsq");
                 let slo_ttft = args.f64("slo-ttft", 10.0)?;
-                let trace_out = args.opt("trace-out");
-                let journal_out = args.opt("journal-out");
-                let outcome = if let Some(ns) = args.opt("sessions") {
-                    let num_sessions: usize = ns
-                        .parse()
-                        .map_err(|_| format!("--sessions: bad number '{ns}'"))?;
-                    let reuse = match args.get("reuse", "on").as_str() {
-                        "on" => true,
-                        "off" => false,
-                        other => return Err(format!("--reuse: 'on' or 'off', got '{other}'")),
-                    };
-                    let mut sc = SessionConfig::small(num_sessions, seed);
-                    sc.arrival = arrival;
-                    let sessions = sc.generate();
-                    let outcome = run_fleet_cmd(
-                        &pool_spec,
-                        gpus,
-                        &router,
-                        slo_ttft,
-                        &model,
-                        seed,
-                        &FleetWorkload::Sessions(&sessions),
-                        predictor,
-                        want_metrics,
-                        reuse,
-                        trace_out,
-                        journal_out,
-                    )?;
+                let workload = match &sessions {
+                    Some(sessions) => FleetWorkload::Sessions(sessions),
+                    None => FleetWorkload::Requests {
+                        trace: &trace,
+                        arrivals: &arrivals,
+                    },
+                };
+                let outcome = run_fleet_cmd(
+                    &pool_spec,
+                    gpus,
+                    &router,
+                    slo_ttft,
+                    &model,
+                    seed,
+                    &workload,
+                    predictor,
+                    want_metrics,
+                    reuse,
+                    args.opt("trace-out"),
+                    args.opt("journal-out"),
+                )?;
+                if let Some(sessions) = &sessions {
                     println!(
                         "sessions: {} sessions -> {} turns across {} replicas",
                         sessions.num_sessions,
                         sessions.len(),
                         outcome.report.num_replicas
                     );
-                    outcome
-                } else {
-                    run_fleet_cmd(
-                        &pool_spec,
-                        gpus,
-                        &router,
-                        slo_ttft,
-                        &model,
-                        seed,
-                        &FleetWorkload::Requests {
-                            trace: &trace,
-                            arrivals: &arrivals,
-                        },
-                        predictor,
-                        want_metrics,
-                        true,
-                        trace_out,
-                        journal_out,
-                    )?
-                };
+                }
                 let metrics = match &trained {
                     Some(p) if want_metrics => outcome
                         .metrics
@@ -685,25 +675,15 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 write_metrics_outputs(&metrics, metrics_out, prom_out)?;
                 return Ok(ExitCode::SUCCESS);
             }
-            let (report, metrics) = if let Some(ns) = args.opt("sessions") {
+            let (report, metrics) = if let Some(sessions) = &sessions {
                 if scheduler != "td" {
                     return Err(format!(
                         "--sessions runs the TD-Pipe scheduler only (got --scheduler {scheduler})"
                     ));
                 }
-                let num_sessions: usize = ns
-                    .parse()
-                    .map_err(|_| format!("--sessions: bad number '{ns}'"))?;
-                let reuse = match args.get("reuse", "on").as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--reuse: 'on' or 'off', got '{other}'")),
-                };
                 run_sessions_cmd(
-                    num_sessions,
-                    arrival,
+                    sessions,
                     reuse,
-                    seed,
                     &model,
                     &node,
                     predictor,
@@ -799,7 +779,15 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 );
             } else {
                 let trace = ShareGptLikeConfig::small(requests, seed).generate();
-                let out = run_td_traced(&model, &node, &trace, &OraclePredictor, false)?;
+                let out = run_td_instrumented(
+                    &model,
+                    &node,
+                    &trace,
+                    &[],
+                    &OraclePredictor,
+                    false,
+                    false,
+                )?;
                 println!("{}", out.report);
                 print!("{}", decision_table(&out.journal));
             }
@@ -989,7 +977,9 @@ mod tests {
         let trace = ShareGptLikeConfig::small(24, 3).generate();
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
-        let out = run_td_traced(&model, &node, &trace, &OraclePredictor, true).unwrap();
+        let out =
+            run_td_instrumented(&model, &node, &trace, &[], &OraclePredictor, true, false)
+                .unwrap();
         assert!(!out.journal.is_empty(), "recorder was on");
         assert!(!out.timeline.segments().is_empty(), "timeline was on");
         let check = validate_chrome_trace(&chrome_trace(&out.timeline, &out.journal)).unwrap();
@@ -1143,6 +1133,36 @@ mod tests {
         assert!(bad("h100:1", "jsq").contains("--pool"));
     }
 
+    /// A misspelt flag is a usage error, not a silently applied default;
+    /// every flag the usage text documents still parses.
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let err = real_main(&args("run --requets 50")).unwrap_err();
+        assert!(err.contains("unknown flag '--requets'"), "{err}");
+        assert!(Args::parse(&args("--Model 13b")).is_err());
+        let documented = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"));
+        for flag in documented {
+            Args::parse(&[flag.to_string(), "x".into()]).unwrap();
+        }
+        for flag in FLAGS.split_whitespace() {
+            assert!(USAGE.contains(&format!("--{flag}")), "--{flag} is documented");
+        }
+    }
+
+    /// Counts that used to panic deep inside the model or workload crates
+    /// come back as clean usage errors.
+    #[test]
+    fn zero_counts_are_rejected_in_real_main() {
+        for cmd in ["run --requests 8 --gpus 0", "plan --gpus 0"] {
+            let err = real_main(&args(cmd)).unwrap_err();
+            assert!(err.contains("--gpus"), "{cmd}: {err}");
+        }
+        let err = real_main(&args("run --sessions 0")).unwrap_err();
+        assert!(err.contains("--sessions"), "{err}");
+    }
+
     #[test]
     fn fleet_flags_are_validated_in_real_main() {
         let err = real_main(&args("run --requests 8 --replicas 0")).unwrap_err();
@@ -1156,12 +1176,12 @@ mod tests {
     fn session_run_reports_all_turns_and_reuse_cuts_prefill() {
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
-        let arrival = arrival_of("poisson", 4.0, 3).unwrap();
+        let mut sc = SessionConfig::small(16, 3);
+        sc.arrival = arrival_of("poisson", 4.0, 3).unwrap();
+        let sessions = sc.generate();
         let run = |reuse| {
-            run_sessions_cmd(
-                16, arrival, reuse, 3, &model, &node, &OraclePredictor, true, None, None,
-            )
-            .unwrap()
+            run_sessions_cmd(&sessions, reuse, &model, &node, &OraclePredictor, true, None, None)
+                .unwrap()
         };
         let (on, m) = run(true);
         let (off, _) = run(false);
