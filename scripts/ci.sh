@@ -52,7 +52,9 @@
 #      seconds refold bit-exactly to total StageIdle per device) and
 #      exits 1 on any malformed or tampered report. A 2,000-request
 #      offline run repeats the span check at a size where evictions
-#      occur.
+#      occur, and a 20,000-session closed-loop run (about 44k turns,
+#      session-KV reuse on, Poisson arrivals) repeats both checks at ten
+#      times that size.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -164,6 +166,18 @@ target/release/tdpipe-cli span-report \
   --journal "$trace_tmp/run2k.journal.json" \
   --out "$trace_tmp/run2k.spans.json" > /dev/null
 target/release/tdpipe-cli span-report --check "$trace_tmp/run2k.spans.json"
+# The exactness claims at 10x that size, through sessions, reuse hits
+# and their reclaims.
+target/release/tdpipe-cli run --sessions 20000 --arrival poisson --rate 12 \
+  --journal-out "$trace_tmp/sess20k.journal.json" > /dev/null
+target/release/tdpipe-cli span-report \
+  --journal "$trace_tmp/sess20k.journal.json" \
+  --out "$trace_tmp/sess20k.spans.json" > /dev/null
+target/release/tdpipe-cli span-report --check "$trace_tmp/sess20k.spans.json"
+target/release/tdpipe-cli bubble-report \
+  --journal "$trace_tmp/sess20k.journal.json" \
+  --out "$trace_tmp/sess20k.bubbles.json" > /dev/null
+target/release/tdpipe-cli bubble-report --check "$trace_tmp/sess20k.bubbles.json"
 # Fleet: per-replica journals merged onto one labelled timeline.
 target/release/tdpipe-cli run --requests 120 \
   --arrival poisson --rate 16 \
