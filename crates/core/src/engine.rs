@@ -1009,7 +1009,10 @@ impl TdPipeEngine {
                     &mut ctx,
                     &mut hook,
                 );
-                now += hook.swap_out_delay;
+                // Swap-outs hold only this batch back (its relaunch waits
+                // for the host link); the engine clock must not jump past
+                // the next in-flight completion.
+                let swap_out_delay = hook.swap_out_delay;
                 finished_this_phase += finished_now;
                 // 3) Rebalance.
                 if let Some(st) = stealer.as_mut() {
@@ -1135,7 +1138,7 @@ impl TdPipeEngine {
                 if !switching && !batches[bid].is_empty() {
                     let b = &batches[bid];
                     self.cost.decode_job_into(b.len(), ctx, &mut job);
-                    let ready = ctrl.process(now, b.len());
+                    let ready = ctrl.process(now + swap_out_delay, b.len());
                     sim.launch(ready, &job.exec, &job.xfer, SegmentKind::Decode, bid as u64);
                     metrics.on_decode_step(b.len());
                     inflight.push_back(bid);
@@ -1418,6 +1421,26 @@ mod tests {
             )
         });
         assert!(drained, "a phase ends on swap-ins alone");
+    }
+
+    /// A swap-out delays only its own batch's relaunch. Charging it to
+    /// the engine clock moved the clock past the next in-flight
+    /// completion, and the following `now = finish` stepped it back, so
+    /// the journal went backwards in time.
+    #[test]
+    fn swap_outs_never_move_the_clock_backwards() {
+        use crate::config::PreemptionMode;
+        let mut cfg = TdPipeConfig::default();
+        cfg.engine.preemption = PreemptionMode::Swap;
+        cfg.engine.host_link_bw = 1e9;
+        cfg.engine.record_trace = true;
+        let out = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(2), cfg)
+            .unwrap()
+            .run(&trace(400), &AlwaysOne);
+        assert!(out.report.swapped_tokens > 0, "the run must swap");
+        let events = out.journal.events();
+        let back = events.windows(2).position(|w| w[1].t < w[0].t);
+        assert_eq!(back, None, "journal time goes backwards after event");
     }
 
     #[test]
