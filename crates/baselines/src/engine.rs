@@ -1,26 +1,26 @@
 //! The baseline engine: one driver over a [`Layout`] and a [`Batching`]
 //! policy (see the crate docs for the grid).
 
+use crate::scheduler::Scheduler;
 use std::collections::VecDeque;
 use std::ops::Deref;
 use tdpipe_core::cohort::DecodeCohort;
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::control::ControlPlane;
 use tdpipe_core::cost::{PpCost, StagedJob, TpCost};
-use tdpipe_core::engine::InfeasibleConfig;
+use tdpipe_core::engine::{InfeasibleConfig, RunOutcome};
 use tdpipe_core::exec::PlaneStats;
 use tdpipe_core::lane::{idle_advance, Lane, Recompute, RunState};
 use tdpipe_core::metrics::EngineMetrics;
 use tdpipe_core::plan::MemoryPlan;
 use tdpipe_core::request::RequestPool;
 use tdpipe_hw::NodeSpec;
-use tdpipe_kvcache::AllocStats;
-use tdpipe_metrics::MetricsSnapshot;
+use tdpipe_kvcache::{AllocStats, OccupancyTrace};
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
-use tdpipe_sim::{PipelineSim, RunReport, SegmentKind, Timeline, TransferMode};
-use tdpipe_trace::EvictMode;
-use tdpipe_workload::Trace;
+use tdpipe_sim::{PipelineSim, RunReport, SegmentKind, TransferMode};
+use tdpipe_trace::{EvictMode, FlightRecorder};
+use tdpipe_workload::{Trace, Workload};
 
 /// How the node's GPUs share the model: the memory plan, the cost model,
 /// the number of scheduler lanes and the simulated devices.
@@ -127,22 +127,12 @@ struct InFlight {
     prefilled: Vec<usize>,
 }
 
-/// Result of a baseline run.
-#[derive(Debug, Clone)]
-pub struct BaselineOutcome {
-    /// Aggregate metrics.
-    pub report: RunReport,
-    /// Device activity (single lock-step device for TP layouts).
-    pub timeline: Timeline,
-    /// Metrics-plane snapshot (empty unless `record_metrics`).
-    pub metrics: MetricsSnapshot,
-}
-
 /// One of the paper's §4.1 baselines: a [`Layout`] and a [`Batching`]
 /// policy over the shared KV allocator, recompute eviction, control plane
 /// and pipeline simulator.
 #[derive(Debug, Clone)]
 pub struct BaselineEngine {
+    scheduler: Scheduler,
     batching: Batching,
     cfg: EngineConfig,
     cost: Cost,
@@ -180,6 +170,7 @@ impl BaselineEngine {
             Layout::Pipeline => Cost::Pipeline(PpCost::new(model, node)),
         };
         Ok(BaselineEngine {
+            scheduler: Scheduler::baseline(layout, batching),
             batching,
             cfg,
             cost,
@@ -194,12 +185,7 @@ impl BaselineEngine {
 
     /// The paper's name for this baseline, e.g. `"PP+HB"`.
     pub fn name(&self) -> &'static str {
-        match (&self.cost, self.batching) {
-            (Cost::Tensor(_), Batching::Separate) => "TP+SB",
-            (Cost::Tensor(_), Batching::Hybrid) => "TP+HB",
-            (Cost::Pipeline(_), Batching::Separate) => "PP+SB",
-            (Cost::Pipeline(_), Batching::Hybrid) => "PP+HB",
-        }
+        self.scheduler.name()
     }
 
     /// Scheduler lanes: one per pipeline stage, one for the TP node.
@@ -362,23 +348,26 @@ impl BaselineEngine {
         Some((work, completed))
     }
 
-    /// Run over a trace. The predictor is unused (neither batching policy
-    /// needs length estimates) but accepted for interface uniformity.
-    pub fn run<P: OutputLenPredictor + ?Sized>(
-        &self,
-        trace: &Trace,
-        predictor: &P,
-    ) -> BaselineOutcome {
-        self.run_with_arrivals(trace, &[], predictor)
+    /// Run over a trace, every request queued at t = 0. The predictor is
+    /// unused (neither batching policy needs length estimates) but
+    /// accepted for interface uniformity.
+    pub fn run<P: OutputLenPredictor + ?Sized>(&self, trace: &Trace, _predictor: &P) -> RunOutcome {
+        self.run_requests(trace, &[])
+    }
+
+    /// Run open-loop requests (arrival times, or none for offline). The
+    /// baselines do not run closed-loop sessions: that is an error.
+    pub fn run_workload(&self, workload: Workload<'_>) -> Result<RunOutcome, InfeasibleConfig> {
+        match workload {
+            Workload::Requests { trace, arrivals } => Ok(self.run_requests(trace, arrivals)),
+            Workload::Sessions(_) => Err(InfeasibleConfig {
+                reason: format!("{} does not run closed-loop sessions", self.name()),
+            }),
+        }
     }
 
     /// Run with per-request arrival times (empty slice = all at t = 0).
-    pub fn run_with_arrivals<P: OutputLenPredictor + ?Sized>(
-        &self,
-        trace: &Trace,
-        arrivals: &[f64],
-        _predictor: &P,
-    ) -> BaselineOutcome {
+    fn run_requests(&self, trace: &Trace, arrivals: &[f64]) -> RunOutcome {
         assert!(
             arrivals.is_empty() || arrivals.len() == trace.len(),
             "one arrival per request"
@@ -523,9 +512,12 @@ impl BaselineEngine {
             &timeline,
             PlaneStats::default(),
         );
-        BaselineOutcome {
+        RunOutcome {
             report,
             timeline,
+            occupancy: OccupancyTrace::new(),
+            phases: Vec::new(),
+            journal: FlightRecorder::disabled(),
             metrics,
         }
     }
@@ -832,7 +824,7 @@ mod tests {
                 for arrivals in [&[][..], &poisson[..]] {
                     let run = |layout| {
                         let mut r = engine(layout, batching, &node, EngineConfig::default())
-                            .run_with_arrivals(&t, arrivals, &OraclePredictor)
+                            .run_requests(&t, arrivals)
                             .report;
                         r.scheduler.clear();
                         r

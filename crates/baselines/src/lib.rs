@@ -28,6 +28,11 @@
 //! charges the control plane for both. The named engines are thin
 //! constructors that fix the two parameters.
 //!
+//! [`Scheduler`] is the one table of all five schedulers, TD-Pipe
+//! included: each one's paper name, its command-line spelling and
+//! [`Scheduler::run`], which plans the engine and runs a
+//! [`tdpipe_workload::Workload`] on it.
+//!
 //! All four run on the same cost models, KV allocator, lanes, decode step
 //! (`tdpipe_core::lane`) and pipeline simulator as TD-Pipe — the only
 //! differences are the scheduling decisions, exactly like the paper's
@@ -36,8 +41,9 @@
 #![forbid(unsafe_code)]
 
 mod engine;
+mod scheduler;
 
 pub use engine::{
-    BaselineEngine, BaselineOutcome, Batching, Layout, PpHbEngine, PpSbEngine, TpHbEngine,
-    TpSbEngine,
+    BaselineEngine, Batching, Layout, PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine,
 };
+pub use scheduler::Scheduler;

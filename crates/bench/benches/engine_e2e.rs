@@ -4,11 +4,11 @@
 //! well under a second, which is what makes the full sweep practical.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tdpipe_bench::{run_scheduler, Scheduler};
+use tdpipe_bench::Scheduler;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OraclePredictor;
-use tdpipe_workload::ShareGptLikeConfig;
+use tdpipe_workload::{ShareGptLikeConfig, Workload};
 
 fn bench_engines(c: &mut Criterion) {
     let trace = ShareGptLikeConfig::small(300, 11).generate();
@@ -20,8 +20,10 @@ fn bench_engines(c: &mut Criterion) {
     for s in Scheduler::ALL {
         group.bench_function(s.name(), |b| {
             b.iter(|| {
+                let cfg = s.default_config();
+                let workload = Workload::offline(black_box(&trace));
                 black_box(
-                    run_scheduler(s, &model, &node, black_box(&trace), &OraclePredictor)
+                    s.run(&model, &node, &cfg, workload, &OraclePredictor)
                         .expect("fits"),
                 )
             })

@@ -8,10 +8,11 @@
 //! extension buys on each configuration.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_combos, paper_trace, run_tdpipe, save_json};
+use tdpipe_bench::{num_requests, paper_combos, paper_trace, save_json, Scheduler};
 use tdpipe_core::cost::PpCost;
 use tdpipe_core::TdPipeConfig;
 use tdpipe_predictor::OraclePredictor;
+use tdpipe_workload::Workload;
 
 #[derive(Serialize)]
 struct Row {
@@ -33,18 +34,15 @@ fn main() {
     let mut rows = Vec::new();
     for (combo, model, node_fn) in paper_combos() {
         let node = node_fn(4);
-        let even = run_tdpipe(&model, &node, &trace, &OraclePredictor, TdPipeConfig::default());
-        let aware = run_tdpipe(
-            &model,
-            &node,
-            &trace,
-            &OraclePredictor,
-            TdPipeConfig {
-                lm_head_aware_partition: true,
-                ..TdPipeConfig::default()
-            },
-        );
-        let (Some(even), Some(aware)) = (even, aware) else {
+        let run = |cfg: &TdPipeConfig| {
+            Scheduler::TdPipe.run(&model, &node, cfg, Workload::offline(&trace), &OraclePredictor)
+        };
+        let even = run(&TdPipeConfig::default());
+        let aware = run(&TdPipeConfig {
+            lm_head_aware_partition: true,
+            ..TdPipeConfig::default()
+        });
+        let (Ok(even), Ok(aware)) = (even, aware) else {
             continue;
         };
         let partition = PpCost::lm_head_aware_partition(&model, &node, 256);

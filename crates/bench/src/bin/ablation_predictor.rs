@@ -10,7 +10,7 @@
 //! a systematically-underestimating predictor pays in recompute.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
+use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
 use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
@@ -18,7 +18,7 @@ use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::{
     eval, LengthPredictor, MeanPredictor, NbLengthPredictor, OraclePredictor, OutputLenPredictor,
 };
-use tdpipe_workload::{Request, ShareGptLikeConfig};
+use tdpipe_workload::{Request, ShareGptLikeConfig, Workload};
 
 /// Always predicts one token: the pathological underestimator.
 struct ConstantOne;
@@ -86,7 +86,9 @@ fn main() {
             ("always-2048", None, Box::new(ConstantMax)),
         ];
         for (name, acc, p) in arms {
-            let out = run_tdpipe(&model, &node, &trace, p.as_ref(), TdPipeConfig::default())
+            let cfg = TdPipeConfig::default();
+            let out = Scheduler::TdPipe
+                .run(&model, &node, &cfg, Workload::offline(&trace), p.as_ref())
                 .expect("fits");
             println!(
                 "  {name:<12} {:6.0} tok/s  recompute {:5.2}%  switches {:3}",

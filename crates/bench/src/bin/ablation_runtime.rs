@@ -8,12 +8,13 @@
 //! coupling.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
+use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
 use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OraclePredictor;
 use tdpipe_sim::TransferMode;
+use tdpipe_workload::Workload;
 
 #[derive(Serialize)]
 struct Row {
@@ -43,7 +44,9 @@ fn main() {
         ] {
             let mut cfg = TdPipeConfig::default();
             cfg.engine.transfer_mode = mode;
-            let out = run_tdpipe(&model, &node, &trace, &OraclePredictor, cfg).expect("fits");
+            let out = Scheduler::TdPipe
+                .run(&model, &node, &cfg, Workload::offline(&trace), &OraclePredictor)
+                .expect("fits");
             let tput = out.report.throughput_total();
             if mode == TransferMode::Async {
                 async_tput = tput;

@@ -102,9 +102,12 @@ fn main() {
                 .find(|c| c.combo == combo && c.gpus == 4 && c.scheduler == s)
                 .and_then(|c| c.throughput_total)
         };
-        let td = get("TD-Pipe");
+        let td = get(Scheduler::TdPipe.name());
         let mut line = format!("{combo:>9}:");
-        for b in ["TP+SB", "TP+HB", "PP+SB", "PP+HB"] {
+        for b in Scheduler::ALL.map(Scheduler::name) {
+            if b == Scheduler::TdPipe.name() {
+                continue;
+            }
             match (td, get(b)) {
                 (Some(t), Some(x)) => line += &format!("  vs {b} {:4.2}x", t / x),
                 _ => line += &format!("  vs {b}    -"),
@@ -120,7 +123,9 @@ fn main() {
         let get = |g: u32| {
             cells
                 .iter()
-                .find(|c| c.combo == combo && c.gpus == g && c.scheduler == "TD-Pipe")
+                .find(|c| {
+                    c.combo == combo && c.gpus == g && c.scheduler == Scheduler::TdPipe.name()
+                })
                 .and_then(|c| c.throughput_total)
         };
         if let (Some(t2), Some(t4)) = (get(2), get(4)) {

@@ -7,7 +7,7 @@
 //! occupancy is held only briefly, evidencing the AI-based greedy
 //! prefill's aggressive-but-safe admission.
 
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json, save_text};
+use tdpipe_bench::{num_requests, paper_trace, save_json, save_text, Scheduler};
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;
@@ -16,7 +16,7 @@ use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
 use tdpipe_trace::decision_table;
-use tdpipe_workload::ShareGptLikeConfig;
+use tdpipe_workload::{ShareGptLikeConfig, Workload};
 
 fn main() {
     let trace = paper_trace();
@@ -37,7 +37,9 @@ fn main() {
         },
         ..TdPipeConfig::default()
     };
-    let out = run_tdpipe(&model, &node, &trace, &predictor, cfg).expect("32B fits 4xL20");
+    let out = Scheduler::TdPipe
+        .run(&model, &node, &cfg, Workload::offline(&trace), &predictor)
+        .expect("32B fits 4xL20");
 
     println!(
         "Figure 12 — KV occupancy, TD-Pipe, L20x4 + Qwen2.5-32B, {} requests",

@@ -5,13 +5,13 @@
 //! occupancy ratio, on both L20+32B and A100+70B at 4 GPUs.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
+use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
 use tdpipe_core::{P2dPolicy, TdPipeConfig};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
-use tdpipe_workload::ShareGptLikeConfig;
+use tdpipe_workload::{ShareGptLikeConfig, Workload};
 
 #[derive(Serialize)]
 struct Point {
@@ -43,7 +43,9 @@ fn main() {
                 p2d: P2dPolicy::FixedOccupancy(ratio),
                 ..TdPipeConfig::default()
             };
-            let out = run_tdpipe(&model, &node, &trace, &predictor, cfg).expect("fits");
+            let out = Scheduler::TdPipe
+                .run(&model, &node, &cfg, Workload::offline(&trace), &predictor)
+                .expect("fits");
             let tput = out.report.throughput_total();
             best_fixed = best_fixed.max(tput);
             println!(
@@ -61,7 +63,8 @@ fn main() {
                 phase_switches: out.report.phase_switches,
             });
         }
-        let out = run_tdpipe(&model, &node, &trace, &predictor, TdPipeConfig::default())
+        let out = Scheduler::TdPipe
+            .run(&model, &node, &TdPipeConfig::default(), Workload::offline(&trace), &predictor)
             .expect("fits");
         let greedy = out.report.throughput_total();
         println!(

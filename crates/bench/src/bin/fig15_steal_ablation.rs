@@ -6,13 +6,13 @@
 //! rebalancing during decode is ablated — exactly the paper's setup.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
+use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
 use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
-use tdpipe_workload::ShareGptLikeConfig;
+use tdpipe_workload::{ShareGptLikeConfig, Workload};
 
 #[derive(Serialize)]
 struct Arm {
@@ -42,7 +42,9 @@ fn main() {
                 work_stealing: stealing,
                 ..TdPipeConfig::default()
             };
-            let out = run_tdpipe(&model, &node, &trace, &predictor, cfg).expect("fits");
+            let out = Scheduler::TdPipe
+                .run(&model, &node, &cfg, Workload::offline(&trace), &predictor)
+                .expect("fits");
             tput[i] = out.report.throughput_total();
             println!(
                 "  {combo} stealing={:5}: {:6.0} tok/s (util {:4.1}%)",

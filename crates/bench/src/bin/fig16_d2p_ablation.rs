@@ -6,13 +6,13 @@
 //! highest throughput.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
+use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
 use tdpipe_core::{D2pPolicy, TdPipeConfig};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
-use tdpipe_workload::ShareGptLikeConfig;
+use tdpipe_workload::{ShareGptLikeConfig, Workload};
 
 #[derive(Serialize)]
 struct Point {
@@ -43,7 +43,9 @@ fn main() {
                 d2p: D2pPolicy::FixedFinishRatio(ratio),
                 ..TdPipeConfig::default()
             };
-            let out = run_tdpipe(&model, &node, &trace, &predictor, cfg).expect("fits");
+            let out = Scheduler::TdPipe
+                .run(&model, &node, &cfg, Workload::offline(&trace), &predictor)
+                .expect("fits");
             let tput = out.report.throughput_total();
             best_fixed = best_fixed.max(tput);
             println!(
@@ -59,7 +61,8 @@ fn main() {
                 phase_switches: out.report.phase_switches,
             });
         }
-        let out = run_tdpipe(&model, &node, &trace, &predictor, TdPipeConfig::default())
+        let out = Scheduler::TdPipe
+            .run(&model, &node, &TdPipeConfig::default(), Workload::offline(&trace), &predictor)
             .expect("fits");
         let st = out.report.throughput_total();
         println!(

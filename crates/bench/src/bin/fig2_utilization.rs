@@ -7,14 +7,12 @@
 //! series (the figure's time axis), and exports Gantt CSVs from which the
 //! Figure 1 bubble anatomy can be plotted.
 
-use tdpipe_baselines::{PpHbEngine, PpSbEngine};
-use tdpipe_bench::{num_requests, paper_trace, save_text};
-use tdpipe_core::config::EngineConfig;
-use tdpipe_core::{TdPipeConfig, TdPipeEngine};
+use tdpipe_bench::{num_requests, paper_trace, save_text, Scheduler};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OraclePredictor;
 use tdpipe_sim::{bubble_breakdown, Timeline};
+use tdpipe_workload::Workload;
 
 fn windowed(timeline: &Timeline, windows: usize) -> Vec<f64> {
     let span = timeline.makespan();
@@ -46,10 +44,6 @@ fn main() {
     let trace = paper_trace();
     let model = ModelSpec::llama2_13b();
     let node = NodeSpec::l20(4);
-    let cfg = EngineConfig {
-        record_timeline: true,
-        ..EngineConfig::default()
-    };
 
     println!(
         "Figure 2 — GPU utilization over time, L20x4 + Llama2-13B, {} requests",
@@ -57,29 +51,29 @@ fn main() {
     );
     println!("(each cell is 1/40th of the run; . <30%, : <50%, + <70%, # <90%, @ >=90%)");
 
-    let pp_sb = PpSbEngine::new(model.clone(), &node, cfg.clone())
-        .expect("fits")
-        .run(&trace, &OraclePredictor);
-    print_series("PP+SB", &windowed(&pp_sb.timeline, 40));
-
-    let pp_hb = PpHbEngine::new(model.clone(), &node, cfg.clone())
-        .expect("fits")
-        .run(&trace, &OraclePredictor);
-    print_series("PP+HB", &windowed(&pp_hb.timeline, 40));
-
-    let mut td_cfg = TdPipeConfig::default();
-    td_cfg.engine.record_timeline = true;
-    let td = TdPipeEngine::new(model, &node, td_cfg)
-        .expect("fits")
-        .run(&trace, &OraclePredictor);
-    print_series("TD-Pipe", &windowed(&td.timeline, 40));
+    let runs = [
+        (Scheduler::PpSb, "pp_sb"),
+        (Scheduler::PpHb, "pp_hb"),
+        (Scheduler::TdPipe, "tdpipe"),
+    ]
+    .map(|(s, file)| {
+        let mut cfg = s.default_config();
+        cfg.engine.record_timeline = true;
+        let out = s
+            .run(&model, &node, &cfg, Workload::offline(&trace), &OraclePredictor)
+            .expect("fits");
+        print_series(s.name(), &windowed(&out.timeline, 40));
+        (s.name(), file, out)
+    });
 
     println!();
+    let means: Vec<String> = runs
+        .iter()
+        .map(|(name, _, out)| format!("{name} {:.1}%", out.report.mean_utilization * 100.0))
+        .collect();
     println!(
-        "mean utilization: PP+SB {:.1}%  PP+HB {:.1}%  TD-Pipe {:.1}%  (paper Fig. 2: PP ~40-60%, TD-Pipe high)",
-        pp_sb.report.mean_utilization * 100.0,
-        pp_hb.report.mean_utilization * 100.0,
-        td.report.mean_utilization * 100.0
+        "mean utilization: {}  (paper Fig. 2: PP ~40-60%, TD-Pipe high)",
+        means.join("  ")
     );
 
     // Bubble decomposition (where does the idle time come from?).
@@ -89,12 +83,8 @@ fn main() {
         "{:>9} {:>10} {:>10} {:>12} {:>8} {:>8}",
         "", "in-decode", "in-prefill", "phase-bound", "warmup", "drain"
     );
-    for (name, tl) in [
-        ("PP+SB", &pp_sb.timeline),
-        ("PP+HB", &pp_hb.timeline),
-        ("TD-Pipe", &td.timeline),
-    ] {
-        let b = bubble_breakdown(tl, 1e-6);
+    for (name, _, out) in &runs {
+        let b = bubble_breakdown(&out.timeline, 1e-6);
         println!(
             "{name:>9} {:>10.1} {:>10.1} {:>12.1} {:>8.1} {:>8.1}",
             b.within_decode, b.within_prefill, b.at_phase_boundary, b.warmup, b.drain
@@ -102,7 +92,7 @@ fn main() {
     }
 
     // Figure 1 raw material: per-device Gantt segments.
-    save_text("fig1_gantt_pp_sb.csv", &pp_sb.timeline.to_csv());
-    save_text("fig1_gantt_pp_hb.csv", &pp_hb.timeline.to_csv());
-    save_text("fig1_gantt_tdpipe.csv", &td.timeline.to_csv());
+    for (_, file, out) in &runs {
+        save_text(&format!("fig1_gantt_{file}.csv"), &out.timeline.to_csv());
+    }
 }

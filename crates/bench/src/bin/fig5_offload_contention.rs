@@ -9,13 +9,14 @@
 //! own memory and P2P links and scales cleanly.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
+use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_offload::{HostLink, OffloadEngine};
 use tdpipe_predictor::OraclePredictor;
+use tdpipe_workload::Workload;
 
 #[derive(Serialize)]
 struct Row {
@@ -35,7 +36,11 @@ fn main() {
     );
     println!(
         "{:>5} {:>22} {:>22} {:>14} {:>12}",
-        "gpus", "offload (contended)", "offload (ideal link)", "eff. PCIe GB/s", "TD-Pipe"
+        "gpus",
+        "offload (contended)",
+        "offload (ideal link)",
+        "eff. PCIe GB/s",
+        Scheduler::TdPipe.name()
     );
 
     let engine = OffloadEngine::new(
@@ -52,14 +57,16 @@ fn main() {
     for gpus in [1u32, 2, 4] {
         let c = engine.run_node(&trace, gpus, &contended);
         let u = engine.run_node(&trace, gpus, &ideal);
-        let td = run_tdpipe(
-            &model,
-            &NodeSpec::l20(gpus),
-            &trace,
-            &OraclePredictor,
-            TdPipeConfig::default(),
-        )
-        .map(|o| o.report.throughput_total());
+        let td = Scheduler::TdPipe
+            .run(
+                &model,
+                &NodeSpec::l20(gpus),
+                &TdPipeConfig::default(),
+                Workload::offline(&trace),
+                &OraclePredictor,
+            )
+            .map(|o| o.report.throughput_total())
+            .ok();
         println!(
             "{gpus:>5} {:>15.0} tok/s {:>15.0} tok/s {:>14.1} {:>9.0} tok/s",
             c.throughput_total,

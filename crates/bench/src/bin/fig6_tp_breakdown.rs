@@ -6,7 +6,7 @@
 //! with communication at 53.9%.
 
 use serde::Serialize;
-use tdpipe_bench::{save_json, Scheduler};
+use tdpipe_bench::save_json;
 use tdpipe_core::cost::TpCost;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
@@ -23,7 +23,6 @@ struct Row {
 }
 
 fn main() {
-    let _ = Scheduler::ALL; // crate linkage sanity
     // The paper's case study runs a reduced-layer Llama-30B prefill; the
     // breakdown ratio is layer-count independent, so we price the full
     // model on a representative prefill batch.

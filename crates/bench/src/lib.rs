@@ -3,22 +3,18 @@
 //! Every binary in `src/bin/` regenerates one of the paper's tables or
 //! figures (see DESIGN.md §4 for the index). This library holds the pieces
 //! they share: the standard 5,000-request ShareGPT-like workload, the four
-//! node/model combinations, a scheduler dispatch wrapper, and small
+//! node/model combinations, a parallel map over scheduler cells, and small
 //! plumbing for emitting results as aligned text and JSON.
 
 #![forbid(unsafe_code)]
 
 use serde::Serialize;
 use std::path::PathBuf;
-use tdpipe_baselines::{BaselineEngine, Batching, Layout};
-use tdpipe_core::config::EngineConfig;
-use tdpipe_core::engine::RunOutcome;
-use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
 use tdpipe_sim::RunReport;
-use tdpipe_workload::{ShareGptLikeConfig, Trace};
+use tdpipe_workload::{ShareGptLikeConfig, Trace, Workload};
 
 /// Seed used for every headline experiment (determinism across binaries).
 pub const PAPER_SEED: u64 = 42;
@@ -55,94 +51,8 @@ pub fn paper_combos() -> Vec<Combo> {
     ]
 }
 
-/// The five schedulers of Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Scheduler {
-    /// Tensor parallel + separate batching.
-    TpSb,
-    /// Tensor parallel + hybrid batching (chunked prefill).
-    TpHb,
-    /// Pipeline parallel + separate batching.
-    PpSb,
-    /// Pipeline parallel + hybrid batching (chunked prefill).
-    PpHb,
-    /// This paper's system.
-    TdPipe,
-}
-
-impl Scheduler {
-    /// All five, in the paper's presentation order.
-    pub const ALL: [Scheduler; 5] = [
-        Scheduler::TpSb,
-        Scheduler::TpHb,
-        Scheduler::PpSb,
-        Scheduler::PpHb,
-        Scheduler::TdPipe,
-    ];
-
-    /// Display name matching the paper.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Scheduler::TpSb => "TP+SB",
-            Scheduler::TpHb => "TP+HB",
-            Scheduler::PpSb => "PP+SB",
-            Scheduler::PpHb => "PP+HB",
-            Scheduler::TdPipe => "TD-Pipe",
-        }
-    }
-
-    /// The layout and batching policy of a baseline; `None` for TD-Pipe.
-    pub const fn baseline(self) -> Option<(Layout, Batching)> {
-        match self {
-            Scheduler::TpSb => Some((Layout::Tensor, Batching::Separate)),
-            Scheduler::TpHb => Some((Layout::Tensor, Batching::Hybrid)),
-            Scheduler::PpSb => Some((Layout::Pipeline, Batching::Separate)),
-            Scheduler::PpHb => Some((Layout::Pipeline, Batching::Hybrid)),
-            Scheduler::TdPipe => None,
-        }
-    }
-}
-
-/// Run one scheduler on one configuration. Returns `None` when the model
-/// does not fit the node in the scheduler's layout.
-pub fn run_scheduler<P: OutputLenPredictor + ?Sized>(
-    which: Scheduler,
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    predictor: &P,
-) -> Option<RunReport> {
-    run_scheduler_with_arrivals(which, model, node, trace, &[], predictor)
-}
-
-/// [`run_scheduler`] with per-request arrival times (the online
-/// extension). All five engines share the `run_with_arrivals` contract:
-/// arrivals non-decreasing and aligned with the trace, latencies
-/// arrival-relative, and the same idle-advance invariant when nothing is
-/// runnable.
-pub fn run_scheduler_with_arrivals<P: OutputLenPredictor + ?Sized>(
-    which: Scheduler,
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    arrivals: &[f64],
-    predictor: &P,
-) -> Option<RunReport> {
-    match which.baseline() {
-        Some((layout, batching)) => BaselineEngine::new(
-            layout,
-            batching,
-            model.clone(),
-            node,
-            EngineConfig::default(),
-        )
-        .ok()
-        .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        None => TdPipeEngine::new(model.clone(), node, TdPipeConfig::default())
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-    }
-}
+/// The one scheduler table (TD-Pipe and the four baselines).
+pub use tdpipe_baselines::Scheduler;
 
 /// The lock-free parallel-map substrate every sweep in this crate runs on
 /// (and `tdpipe-fleet` reuses for replica execution): workers claim item
@@ -190,39 +100,12 @@ where
         .collect()
 }
 
-/// [`run_cells_parallel_with_threads`] for online sweeps: every cell runs
-/// over the same trace *and* the same arrival vector. Same lock-free
-/// claim-off-a-counter shape; results come back in input order and are
-/// byte-identical to a serial pass.
-pub fn run_cells_parallel_arrivals_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
-    cells: &[(Scheduler, ModelSpec, NodeSpec)],
-    trace: &Trace,
-    arrivals: &[f64],
-    predictor: &P,
-    threads: usize,
-) -> Vec<Option<RunReport>> {
-    map_indexed_parallel(cells, threads, |_, (s, model, node)| {
-        run_scheduler_with_arrivals(*s, model, node, trace, arrivals, predictor)
-    })
-}
-
-/// Run TD-Pipe with an explicit configuration (ablations).
-pub fn run_tdpipe<P: OutputLenPredictor + ?Sized>(
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    predictor: &P,
-    cfg: TdPipeConfig,
-) -> Option<RunOutcome> {
-    TdPipeEngine::new(model.clone(), node, cfg)
-        .ok()
-        .map(|e| e.run(trace, predictor))
-}
-
-/// Run many `(scheduler, model, node)` cells in parallel with scoped
-/// threads. Each cell is an independent deterministic simulation, so the
+/// Run many `(scheduler, model, node)` cells in parallel over
+/// [`map_indexed_parallel`], one worker per host core. Each cell runs
+/// [`Scheduler::run`] with its [`Scheduler::default_config`], so the
 /// results are identical to a serial sweep — only the wall time shrinks.
-/// Results come back in input order.
+/// Results come back in input order; an infeasible cell comes back
+/// `None`.
 pub fn run_cells_parallel<P: OutputLenPredictor + Sync + ?Sized>(
     cells: &[(Scheduler, ModelSpec, NodeSpec)],
     trace: &Trace,
@@ -231,99 +114,11 @@ pub fn run_cells_parallel<P: OutputLenPredictor + Sync + ?Sized>(
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    run_cells_parallel_with_threads(cells, trace, predictor, threads)
-}
-
-/// [`run_cells_parallel`] with an explicit worker count (the determinism
-/// tests sweep this to prove thread count cannot affect results).
-///
-/// Lock-free: workers claim cells off a shared atomic counter (so long
-/// cells do not serialise behind short ones), buffer `(index, report)`
-/// pairs locally, and the scope's join handles deliver each worker's
-/// buffer back to the caller, which scatters them into input order. No
-/// mutex is held anywhere, and nothing is contended but the counter.
-pub fn run_cells_parallel_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
-    cells: &[(Scheduler, ModelSpec, NodeSpec)],
-    trace: &Trace,
-    predictor: &P,
-    threads: usize,
-) -> Vec<Option<RunReport>> {
     map_indexed_parallel(cells, threads, |_, (s, model, node)| {
-        run_scheduler(*s, model, node, trace, predictor)
+        s.run(model, node, &s.default_config(), Workload::offline(trace), predictor)
+            .ok()
+            .map(|out| out.report)
     })
-}
-
-/// One unit of a multi-cell, multi-seed sweep: a scheduler/model/node cell
-/// plus the workload configuration it runs on. Unlike
-/// [`run_cells_parallel`], which shares one pre-generated trace across all
-/// cells, a sweep generates each spec's trace *inside* the claiming worker,
-/// so trace construction for large (100k–1M request) workloads parallelises
-/// along with the simulation itself.
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    /// Which scheduler to run.
-    pub scheduler: Scheduler,
-    /// Model weights/shape.
-    pub model: ModelSpec,
-    /// Node the model is placed on.
-    pub node: NodeSpec,
-    /// Workload generator configuration (request count + seed + shape).
-    pub workload: ShareGptLikeConfig,
-}
-
-impl SweepSpec {
-    /// The standard paper workload at `num_requests` requests under `seed`.
-    pub fn paper_cell(
-        scheduler: Scheduler,
-        model: ModelSpec,
-        node: NodeSpec,
-        num_requests: usize,
-        seed: u64,
-    ) -> Self {
-        SweepSpec {
-            scheduler,
-            model,
-            node,
-            workload: ShareGptLikeConfig::small(num_requests, seed),
-        }
-    }
-
-    /// Run this spec serially: generate the trace, then run the scheduler.
-    pub fn run<P: OutputLenPredictor + ?Sized>(&self, predictor: &P) -> Option<RunReport> {
-        let trace = self.workload.generate();
-        run_scheduler(self.scheduler, &self.model, &self.node, &trace, predictor)
-    }
-}
-
-/// Run a multi-cell, multi-seed sweep in parallel with scoped threads.
-///
-/// Each spec is an independent deterministic simulation over its own
-/// generated trace, so the results are byte-identical to calling
-/// [`SweepSpec::run`] on each spec in order — only the wall time shrinks.
-/// Results come back in input order.
-pub fn run_sweep_parallel<P: OutputLenPredictor + Sync + ?Sized>(
-    specs: &[SweepSpec],
-    predictor: &P,
-) -> Vec<Option<RunReport>> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    run_sweep_parallel_with_threads(specs, predictor, threads)
-}
-
-/// [`run_sweep_parallel`] with an explicit worker count (the determinism
-/// tests sweep this to prove thread count cannot affect results).
-///
-/// Same lock-free shape as [`run_cells_parallel_with_threads`]: workers
-/// claim specs off a shared atomic counter, generate the spec's trace
-/// locally, run it, buffer `(index, report)` pairs, and the caller
-/// scatters the buffers back into input order.
-pub fn run_sweep_parallel_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
-    specs: &[SweepSpec],
-    predictor: &P,
-    threads: usize,
-) -> Vec<Option<RunReport>> {
-    map_indexed_parallel(specs, threads, |_, spec| spec.run(predictor))
 }
 
 /// Directory the binaries drop machine-readable results into.
@@ -367,24 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_names() {
-        assert_eq!(Scheduler::TdPipe.name(), "TD-Pipe");
-        assert_eq!(Scheduler::ALL.len(), 5);
-    }
-
-    #[test]
-    fn dispatch_runs_every_scheduler_on_a_tiny_trace() {
-        let trace = ShareGptLikeConfig::small(24, 1).generate();
-        let model = ModelSpec::llama2_13b();
-        let node = NodeSpec::l20(2);
-        for s in Scheduler::ALL {
-            let r = run_scheduler(s, &model, &node, &trace, &OraclePredictor)
-                .expect("13B fits 2xL20");
-            assert_eq!(r.num_requests, 24, "{}", s.name());
-        }
-    }
-
-    #[test]
     fn parallel_sweep_matches_serial() {
         let trace = ShareGptLikeConfig::small(40, 2).generate();
         let cells: Vec<(Scheduler, ModelSpec, NodeSpec)> = Scheduler::ALL
@@ -393,48 +170,10 @@ mod tests {
             .collect();
         let par = run_cells_parallel(&cells, &trace, &OraclePredictor);
         for ((s, m, n), got) in cells.iter().zip(&par) {
-            let serial = run_scheduler(*s, m, n, &trace, &OraclePredictor);
-            assert_eq!(got.as_ref().map(|r| r.makespan), serial.map(|r| r.makespan));
+            let serial = s
+                .run(m, n, &s.default_config(), Workload::offline(&trace), &OraclePredictor)
+                .unwrap();
+            assert_eq!(got.as_ref().map(|r| r.makespan), Some(serial.report.makespan));
         }
-    }
-
-    #[test]
-    fn multi_seed_sweep_matches_serial() {
-        // Mixed cells *and* seeds: every spec generates its own trace.
-        let mut specs = Vec::new();
-        for seed in [1u64, 2, 3] {
-            for s in [Scheduler::PpSb, Scheduler::TdPipe] {
-                specs.push(SweepSpec::paper_cell(
-                    s,
-                    ModelSpec::llama2_13b(),
-                    NodeSpec::l20(2),
-                    32,
-                    seed,
-                ));
-            }
-        }
-        let par = run_sweep_parallel(&specs, &OraclePredictor);
-        for (spec, got) in specs.iter().zip(&par) {
-            let serial = spec.run(&OraclePredictor);
-            assert_eq!(got.as_ref().map(|r| r.makespan), serial.map(|r| r.makespan));
-        }
-        // Different seeds genuinely produce different workloads.
-        assert_ne!(
-            par[0].as_ref().map(|r| r.makespan),
-            par[2].as_ref().map(|r| r.makespan),
-        );
-    }
-
-    #[test]
-    fn infeasible_returns_none() {
-        let trace = ShareGptLikeConfig::small(4, 1).generate();
-        let r = run_scheduler(
-            Scheduler::TdPipe,
-            &ModelSpec::llama2_70b(),
-            &NodeSpec::l20(1),
-            &trace,
-            &OraclePredictor,
-        );
-        assert!(r.is_none());
     }
 }

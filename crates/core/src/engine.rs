@@ -45,7 +45,7 @@ use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
 use tdpipe_sim::{RunReport, SegmentKind, Timeline};
 use tdpipe_trace::{AdmitReason, EvictMode, FlightRecorder, PrefillStopReason, TraceEvent};
-use tdpipe_workload::{SessionTrace, SessionTurn, Trace};
+use tdpipe_workload::{SessionTrace, SessionTurn, Trace, Workload};
 
 /// A model/node combination whose weights do not fit the devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,7 +96,7 @@ pub struct RunOutcome {
 }
 
 /// Closed-loop session state threaded through one engine run (only for
-/// [`TdPipeEngine::run_sessions`]; `None` keeps every other entry point
+/// [`Workload::Sessions`]; `None` keeps every other workload
 /// bit-identical).
 struct SessionRun<'a> {
     /// Per-request turn linkage, parallel to the request pool.
@@ -397,6 +397,9 @@ pub struct TdPipeEngine {
 }
 
 impl TdPipeEngine {
+    /// The paper's name for the system, as its reports carry it.
+    pub const NAME: &'static str = "TD-Pipe";
+
     /// Plan an engine; fails when some pipeline stage cannot hold its
     /// weights plus at least one KV block.
     pub fn new(
@@ -466,21 +469,29 @@ impl TdPipeEngine {
     /// # Panics
     /// Panics if some request cannot fit in KV memory even alone.
     pub fn run<P: OutputLenPredictor + ?Sized>(&self, trace: &Trace, predictor: &P) -> RunOutcome {
-        self.run_with_arrivals(trace, &[], predictor)
+        self.run_workload(Workload::offline(trace), predictor)
     }
 
-    /// Run with per-request arrival times (the online extension; an empty
-    /// slice means everything is queued at t = 0, the paper's setting).
-    /// Arrival times must be non-decreasing and aligned with the trace;
-    /// latency metrics come out arrival-relative.
+    /// Run any workload on the deterministic simulator.
+    ///
+    /// * Requests with arrival times (the online extension; empty means
+    ///   everything is queued at t = 0, the paper's setting). Arrivals
+    ///   must be non-decreasing and aligned with the trace; latency
+    ///   metrics come out arrival-relative.
+    /// * Closed-loop sessions: each resumed turn arrives only after its
+    ///   predecessor finishes plus think time, and — with
+    ///   [`crate::config::EngineConfig::session_reuse`] on — a resumed
+    ///   turn whose retained session KV survived prefills only its fresh
+    ///   suffix. Latencies are measured from each turn's *released*
+    ///   arrival.
     ///
     /// # Panics
-    /// Panics if some request cannot fit in KV memory even alone, or if
-    /// `arrivals` is non-empty but misaligned/unsorted.
-    pub fn run_with_arrivals<P: OutputLenPredictor + ?Sized>(
+    /// Panics if some request cannot fit in KV memory even alone, if
+    /// arrivals are misaligned or unsorted, or if a session trace fails
+    /// its structural invariants.
+    pub fn run_workload<P: OutputLenPredictor + ?Sized>(
         &self,
-        trace: &Trace,
-        arrivals: &[f64],
+        workload: Workload<'_>,
         predictor: &P,
     ) -> RunOutcome {
         let e = &self.cfg.engine;
@@ -489,66 +500,32 @@ impl TdPipeEngine {
             e.transfer_mode,
             e.record_timeline,
         ));
-        self.run_on(trace, arrivals, predictor, executor)
-    }
-
-    /// Run the engine against an arbitrary execution plane — the
-    /// deterministic simulator ([`SimExecutor`]) or the threaded
-    /// hierarchy-controller (`tdpipe-runtime`'s executor). This is the
-    /// single scheduling loop: only the execution substrate varies.
-    ///
-    /// # Panics
-    /// As [`Self::run_with_arrivals`], plus on an execution-plane
-    /// failure — use [`Self::try_run_on`] to observe those as structured
-    /// errors instead.
-    pub fn run_on<P: OutputLenPredictor + ?Sized>(
-        &self,
-        trace: &Trace,
-        arrivals: &[f64],
-        predictor: &P,
-        sim: Box<dyn PipelineExecutor>,
-    ) -> RunOutcome {
-        // analyzer: allow(no-panic) — the infallible convenience surface:
-        // its documented contract is to panic with the execution-plane
-        // root cause; fallible callers use `try_run_on`.
-        self.try_run_on(trace, arrivals, predictor, sim).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run a closed-loop multi-turn session workload: each resumed turn
-    /// arrives only after its predecessor finishes plus think time, and —
-    /// with [`crate::config::EngineConfig::session_reuse`] on — a resumed
-    /// turn whose retained session KV survived prefills only its fresh
-    /// suffix. Latencies are measured from each turn's *released* arrival.
-    ///
-    /// # Panics
-    /// As [`Self::run_with_arrivals`], plus on an execution-plane failure
-    /// and on a session trace failing its structural invariants.
-    pub fn run_sessions<P: OutputLenPredictor + ?Sized>(
-        &self,
-        sessions: &SessionTrace,
-        predictor: &P,
-    ) -> RunOutcome {
-        let e = &self.cfg.engine;
-        let executor = Box::new(SimExecutor::new(
-            self.cost.num_stages(),
-            e.transfer_mode,
-            e.record_timeline,
-        ));
-        let arrivals = sessions.initial_arrivals();
-        self.run_impl(&sessions.trace, &arrivals, predictor, executor, Some(sessions))
+        let released;
+        let (trace, arrivals, sessions) = match workload {
+            Workload::Requests { trace, arrivals } => (trace, arrivals, None),
+            Workload::Sessions(st) => {
+                released = st.initial_arrivals();
+                (&st.trace, &released[..], Some(st))
+            }
+        };
+        self.run_impl(trace, arrivals, predictor, executor, sessions)
             // analyzer: allow(no-panic) — the infallible convenience
-            // surface, like `run_on`: panics with the execution-plane
-            // root cause.
+            // surface: the simulator plane cannot fail, and a plane that
+            // can is run through `try_run_on`.
             .unwrap_or_else(|err| panic!("{err}"))
     }
 
-    /// Fallible [`Self::run_on`]: an execution-plane failure (worker
-    /// panic, lost stage message, wedged shutdown) surfaces as a clean
-    /// [`ExecError`] instead of a panic or a hang — the waits inside a
-    /// supervised plane (`tdpipe-runtime`) are all deadline-bounded.
+    /// Run requests (with arrival times, or none for offline) against an
+    /// arbitrary execution plane — the deterministic simulator
+    /// ([`SimExecutor`]) or the threaded hierarchy-controller
+    /// (`tdpipe-runtime`'s executor); only the execution substrate
+    /// varies. An execution-plane failure (worker panic, lost stage
+    /// message, wedged shutdown) surfaces as a clean [`ExecError`]
+    /// instead of a panic or a hang — the waits inside a supervised plane
+    /// are all deadline-bounded.
     ///
     /// # Panics
-    /// As [`Self::run_with_arrivals`] (scheduling preconditions only).
+    /// As [`Self::run_workload`] (scheduling preconditions only).
     pub fn try_run_on<P: OutputLenPredictor + ?Sized>(
         &self,
         trace: &Trace,
@@ -763,7 +740,7 @@ impl TdPipeEngine {
                             // analyzer: allow(no-panic) — unschedulable
                             // input (one request larger than the whole KV
                             // pool): a precondition documented under
-                            // `# Panics` on `run_with_arrivals`, not a
+                            // `# Panics` on `run_workload`, not a
                             // runtime failure.
                             panic!(
                                 "request {} ({} tokens) exceeds KV capacity ({} tokens)",
@@ -1191,7 +1168,7 @@ impl TdPipeEngine {
         // events, so attributed bubble seconds close against the makespan.
         journal.append_stage_events_bounded(&timeline, makespan);
         let report = RunReport {
-            scheduler: "TD-Pipe".into(),
+            scheduler: Self::NAME.into(),
             makespan,
             num_requests: run.pool.len(),
             input_tokens: run.pool.input_tokens,
@@ -1447,7 +1424,7 @@ mod tests {
     fn session_run_completes_and_conserves() {
         use tdpipe_workload::SessionConfig;
         let s = SessionConfig::small(24, 7).generate();
-        let out = engine(2).run_sessions(&s, &OraclePredictor);
+        let out = engine(2).run_workload(Workload::Sessions(&s), &OraclePredictor);
         assert_eq!(out.report.num_requests, s.len());
         assert!(out.report.makespan > 0.0);
         assert!(out.report.output_tokens > 0);
@@ -1457,8 +1434,8 @@ mod tests {
     fn session_runs_are_deterministic() {
         use tdpipe_workload::SessionConfig;
         let s = SessionConfig::small(32, 11).generate();
-        let a = engine(2).run_sessions(&s, &OraclePredictor);
-        let b = engine(2).run_sessions(&s, &OraclePredictor);
+        let a = engine(2).run_workload(Workload::Sessions(&s), &OraclePredictor);
+        let b = engine(2).run_workload(Workload::Sessions(&s), &OraclePredictor);
         assert_eq!(a.report, b.report);
     }
 
@@ -1480,7 +1457,7 @@ mod tests {
             cfg.engine.record_trace = true;
             TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(2), cfg)
                 .unwrap()
-                .run_sessions(&s, &OraclePredictor)
+                .run_workload(Workload::Sessions(&s), &OraclePredictor)
         };
         let on = run(true);
         let off = run(false);

@@ -308,10 +308,10 @@ impl EngineMetrics {
         self.reg.observe(self.phase_seconds[i], (end - start).max(0.0));
     }
 
-    /// Fold in the session-KV reuse totals of a closed-loop run (see
-    /// `TdPipeEngine::run_sessions`). Registered lazily — only session
-    /// runs call this, so non-session snapshots keep the baseline metric
-    /// set byte-identical.
+    /// Fold in the session-KV reuse totals of a closed-loop run (a
+    /// session workload of `TdPipeEngine::run_workload`). Registered
+    /// lazily — only session runs call this, so non-session snapshots
+    /// keep the baseline metric set byte-identical.
     pub fn on_session_summary(
         &mut self,
         stats: tdpipe_kvcache::RetainStats,

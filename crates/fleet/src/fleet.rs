@@ -24,7 +24,10 @@ use crate::router::{DispatchUnit, Router, RouterConfig};
 use tdpipe_core::engine::RunOutcome;
 use tdpipe_metrics::MetricsSnapshot;
 use tdpipe_predictor::OutputLenPredictor;
-use tdpipe_workload::{SessionTrace, Trace};
+/// The cluster's offered workload. An empty arrival vector (offline)
+/// stays empty per replica, keeping single-replica fleets bit-identical
+/// to a direct engine run; sessions route atomically.
+pub use tdpipe_workload::Workload as FleetWorkload;
 
 /// Fleet-level configuration: how to route, and what SLO goodput counts.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -33,36 +36,6 @@ pub struct FleetConfig {
     pub router: RouterConfig,
     /// The TTFT target behind `goodput` and `slo_attainment`.
     pub slo: SloSpec,
-}
-
-/// The cluster's offered workload, borrowed from the caller.
-#[derive(Debug, Clone, Copy)]
-pub enum FleetWorkload<'a> {
-    /// Open-loop requests. `arrivals` is per-request and non-decreasing,
-    /// or empty for the paper's offline all-at-t0 setting (and stays
-    /// empty per replica, keeping single-replica fleets bit-identical to
-    /// `TdPipeEngine::run`).
-    Requests {
-        trace: &'a Trace,
-        arrivals: &'a [f64],
-    },
-    /// Closed-loop sessions; each session routes atomically.
-    Sessions(&'a SessionTrace),
-}
-
-impl FleetWorkload<'_> {
-    /// Total requests (turns) offered to the fleet.
-    pub fn len(&self) -> usize {
-        match self {
-            FleetWorkload::Requests { trace, .. } => trace.len(),
-            FleetWorkload::Sessions(st) => st.len(),
-        }
-    }
-
-    /// Whether the fleet has nothing to do.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Everything a fleet run produces: the aggregated report, each replica's

@@ -7,7 +7,7 @@ use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
-use tdpipe_workload::{SessionTrace, Trace};
+use tdpipe_workload::{SessionTrace, Trace, Workload};
 
 /// Everything needed to plan one replica: a label for reports/metrics, the
 /// model it serves, the node it runs on, and its engine configuration.
@@ -124,12 +124,7 @@ impl Replica {
         work: &ReplicaWorkload,
         predictor: &P,
     ) -> RunOutcome {
-        match work {
-            ReplicaWorkload::Requests { trace, arrivals } => {
-                self.engine.run_with_arrivals(trace, arrivals, predictor)
-            }
-            ReplicaWorkload::Sessions(sessions) => self.engine.run_sessions(sessions, predictor),
-        }
+        self.engine.run_workload(work.as_workload(), predictor)
     }
 }
 
@@ -162,6 +157,14 @@ impl ReplicaWorkload {
     /// Whether the sub-workload is empty (a starved replica).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Borrow it as the engine's [`Workload`].
+    pub fn as_workload(&self) -> Workload<'_> {
+        match self {
+            ReplicaWorkload::Requests { trace, arrivals } => Workload::Requests { trace, arrivals },
+            ReplicaWorkload::Sessions(st) => Workload::Sessions(st),
+        }
     }
 }
 

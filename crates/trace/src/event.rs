@@ -5,6 +5,7 @@
 //! workload + configuration and byte-identical across identical runs.
 
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use tdpipe_kvcache::Phase;
 use tdpipe_sim::{SegmentKind, Timeline};
 
@@ -378,6 +379,40 @@ impl FlightRecorder {
         }
     }
 
+    /// Check the journal's time order: engine events non-decreasing, and
+    /// stage events non-decreasing on each device. A journal read back
+    /// from disk is checked before analysis, since only debug builds
+    /// assert the order while recording. The error names the first event
+    /// that goes back in time by its index in its list.
+    pub fn check_time_order(&self) -> Result<(), String> {
+        if let Some(i) = self.events.windows(2).position(|w| w[1].t < w[0].t) {
+            return Err(format!(
+                "engine event {} at t={} goes back in time (event {} is at t={})",
+                i + 1,
+                self.events[i + 1].t,
+                i,
+                self.events[i].t
+            ));
+        }
+        let mut last: BTreeMap<u32, f64> = BTreeMap::new();
+        for (i, e) in self.stage_events.iter().enumerate() {
+            let (TraceEvent::StageBusy { device, .. } | TraceEvent::StageIdle { device, .. }) =
+                e.event
+            else {
+                continue;
+            };
+            let prev = last.entry(device).or_insert(e.t);
+            if e.t < *prev {
+                return Err(format!(
+                    "stage event {i} at t={} goes back in time on device {device} (t={} before it)",
+                    e.t, prev
+                ));
+            }
+            *prev = e.t;
+        }
+        Ok(())
+    }
+
     /// Serialize the whole journal as JSON — the byte-comparison surface
     /// for the determinism test and the on-disk journal format.
     pub fn to_json(&self) -> String {
@@ -388,6 +423,28 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn time_order_check_names_the_first_backwards_event() {
+        let mut r = FlightRecorder::with_capacity(3);
+        for t in [0.0, 1.0, 2.0] {
+            r.record(t, TraceEvent::SessionReuseMiss { request: 0 });
+        }
+        let mut tl = Timeline::new(true);
+        tl.record(0, 0.0, 1.0, SegmentKind::Prefill, 0);
+        tl.record(0, 2.0, 3.0, SegmentKind::Decode, 1);
+        tl.record(1, 0.5, 1.5, SegmentKind::Prefill, 0);
+        r.append_stage_events(&tl);
+        assert_eq!(r.check_time_order(), Ok(()), "devices interleave freely");
+        let mut engine = r.clone();
+        engine.events.swap(1, 2);
+        let err = engine.check_time_order().unwrap_err();
+        assert!(err.starts_with("engine event 2 at t=1 "), "{err}");
+        let mut stage = r.clone();
+        stage.stage_events.swap(0, 1);
+        let err = stage.check_time_order().unwrap_err();
+        assert!(err.starts_with("stage event 1 at t=0 "), "{err}");
+    }
 
     #[test]
     fn disabled_recorder_drops_everything() {

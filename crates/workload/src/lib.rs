@@ -27,6 +27,7 @@ pub mod request;
 pub mod session;
 pub mod stats;
 pub mod trace;
+pub mod workload;
 
 pub use arrival::ArrivalProcess;
 pub use conversation::ConversationConfig;
@@ -35,3 +36,4 @@ pub use generator::{ShareGptLikeConfig, CATEGORY_COUNT, FEATURE_DIM};
 pub use request::{Request, RequestId};
 pub use stats::TraceStats;
 pub use trace::{Trace, TraceSplits};
+pub use workload::Workload;

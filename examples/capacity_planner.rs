@@ -10,13 +10,11 @@
 //! cargo run --release --example capacity_planner
 //! ```
 
-use tdpipe::baselines::TpSbEngine;
-use tdpipe::core::config::EngineConfig;
-use tdpipe::core::{TdPipeConfig, TdPipeEngine};
+use tdpipe::baselines::Scheduler;
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::workload::ShareGptLikeConfig;
+use tdpipe::workload::{ShareGptLikeConfig, Workload};
 
 fn main() {
     let model = ModelSpec::llama2_70b();
@@ -43,15 +41,13 @@ fn main() {
     ] {
         for gpus in [1u32, 2, 4, 8] {
             let node = node_fn(gpus);
-            for sched in ["TD-Pipe", "TP+SB"] {
-                let report = match sched {
-                    "TD-Pipe" => TdPipeEngine::new(model.clone(), &node, TdPipeConfig::default())
-                        .ok()
-                        .map(|e| e.run(&sample, &OraclePredictor).report),
-                    _ => TpSbEngine::new(model.clone(), &node, EngineConfig::default())
-                        .ok()
-                        .map(|e| e.run(&sample, &OraclePredictor).report),
-                };
+            for s in [Scheduler::TdPipe, Scheduler::TpSb] {
+                let sched = s.name();
+                let cfg = s.default_config();
+                let report = s
+                    .run(&model, &node, &cfg, Workload::offline(&sample), &OraclePredictor)
+                    .ok()
+                    .map(|out| out.report);
                 match report {
                     None => println!(
                         "{name:<6} {gpus:>5} {sched:>10} {:>14} {:>14} {:>12}",

@@ -17,7 +17,7 @@ use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig};
+use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig, Workload};
 
 fn main() {
     let engine = TdPipeEngine::new(
@@ -56,9 +56,13 @@ fn main() {
             seed: 9,
         }
         .sample(trace.len());
-        let td = engine.run_with_arrivals(&trace, &arrivals, &OraclePredictor);
+        let workload = Workload::Requests {
+            trace: &trace,
+            arrivals: &arrivals,
+        };
+        let td = engine.run_workload(workload, &OraclePredictor);
         let tl = td.report.latency.expect("all finished");
-        let hb = tp_hb.run_with_arrivals(&trace, &arrivals, &OraclePredictor);
+        let hb = tp_hb.run_workload(workload).expect("requests");
         let hl = hb.report.latency.expect("all finished");
         println!(
             "{:>5.0}% {:>10.2} | {:>11.1}s {:>11.1}s {:>8} | {:>11.1}s {:>11.1}s",

@@ -3,17 +3,14 @@
 //!
 //! Run with: `cargo run --release --example scheduler_comparison`
 
-use tdpipe::baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
-use tdpipe::core::config::EngineConfig;
-use tdpipe::core::{TdPipeConfig, TdPipeEngine};
+use tdpipe::baselines::Scheduler;
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::workload::ShareGptLikeConfig;
+use tdpipe::workload::{ShareGptLikeConfig, Workload};
 
 fn main() {
     let trace = ShareGptLikeConfig::small(5000, 42).generate();
-    let cfg = EngineConfig::default();
     #[allow(clippy::type_complexity)]
     let combos: [(&str, ModelSpec, fn(u32) -> NodeSpec); 4] = [
         ("L20+13B", ModelSpec::llama2_13b(), NodeSpec::l20),
@@ -26,21 +23,11 @@ fn main() {
         for g in [1u32, 2, 4] {
             let n = node(g);
             let mut row = format!("{mname:>9} x{g}:");
-            let results = [
-                ("TP+SB", TpSbEngine::new(model.clone(), &n, cfg.clone())
-                    .map(|e| e.run(&trace, &OraclePredictor).report.throughput_total())),
-                ("TP+HB", TpHbEngine::new(model.clone(), &n, cfg.clone())
-                    .map(|e| e.run(&trace, &OraclePredictor).report.throughput_total())),
-                ("PP+SB", PpSbEngine::new(model.clone(), &n, cfg.clone())
-                    .map(|e| e.run(&trace, &OraclePredictor).report.throughput_total())),
-                ("PP+HB", PpHbEngine::new(model.clone(), &n, cfg.clone())
-                    .map(|e| e.run(&trace, &OraclePredictor).report.throughput_total())),
-                ("TD-Pipe", TdPipeEngine::new(model.clone(), &n, TdPipeConfig::default())
-                    .map(|e| e.run(&trace, &OraclePredictor).report.throughput_total())),
-            ];
-            for (name, r) in results {
-                match r {
-                    Ok(v) => row += &format!("  {name}={v:6.0}"),
+            for s in Scheduler::ALL {
+                let name = s.name();
+                let cfg = s.default_config();
+                match s.run(&model, &n, &cfg, Workload::offline(&trace), &OraclePredictor) {
+                    Ok(out) => row += &format!("  {name}={:6.0}", out.report.throughput_total()),
                     Err(_) => row += &format!("  {name}=     -"),
                 }
             }

@@ -18,7 +18,7 @@ use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::workload::{ArrivalProcess, SessionConfig};
+use tdpipe::workload::{ArrivalProcess, SessionConfig, Workload};
 
 fn main() {
     let mut sc = SessionConfig::small(600, 42);
@@ -46,7 +46,7 @@ fn main() {
         cfg.engine.record_metrics = true;
         TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg)
             .expect("fits")
-            .run_sessions(&sessions, &OraclePredictor)
+            .run_workload(Workload::Sessions(&sessions), &OraclePredictor)
     };
 
     println!(

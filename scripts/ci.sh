@@ -36,13 +36,11 @@
 #      that must metrics-diff clean against each other (the fleet router,
 #      parallel replica execution, and replica-labelled metrics merge are
 #      all deterministic).
-#  10. perf-trajectory smoke: a quick (200-request, 1-rep, no scale
-#      cells) perf_trajectory run into a temp file, schema-validated with
-#      `perf_trajectory --check`, plus the same check against the
-#      committed BENCH_hotpath.json. Catches harness bitrot and
-#      hand-edited/truncated trajectory files; it does NOT gate on times
-#      (CI machines are too noisy — regenerate BENCH_hotpath.json
-#      deliberately with `cargo run --release --bin perf_trajectory`).
+#  10. benchmark build: perfbench (its own cargo workspace under
+#      perfbench/, the end-to-end and per-layer benchmark BENCHMARK.json
+#      declares) is built in release and its tests run, so a library API
+#      change that breaks the benchmark fails here. It does NOT gate on
+#      times.
 #  11. span/bubble attribution smoke: a traced run exporting its raw
 #      journal (`--journal-out`), then `span-report` and `bubble-report`
 #      over it (plus a 2-replica fleet journal set merged under replica
@@ -55,6 +53,12 @@
 #      occur, and a 20,000-session closed-loop run (about 44k turns,
 #      session-KV reuse on, Poisson arrivals) repeats both checks at ten
 #      times that size.
+#  12. results regenerate: every figure and ablation binary runs into a
+#      temp dir, and each tracked results/ file must come back
+#      byte-identical. The binaries are deterministic, so a drifted
+#      artifact means a behaviour change that was not refreshed on
+#      purpose (the Gantt CSVs fig2_utilization also writes are not
+#      tracked, and smoke/ is step 4's).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -67,7 +71,7 @@ scripts/analyze.sh
 
 step "build (release)"
 # --workspace: a root-only build does not (re)link the bench-crate
-# binaries, and step 10 runs one.
+# binaries, and steps 4 and 12 run them.
 cargo build --release --workspace
 
 step "tests (workspace)"
@@ -136,12 +140,9 @@ target/release/tdpipe-cli metrics-diff \
   --baseline "$trace_tmp/fleet.a.metrics.json" \
   --current "$trace_tmp/fleet.b.metrics.json"
 
-step "perf-trajectory smoke (quick run + schema check)"
-TDPIPE_REQUESTS=200 TDPIPE_PERF_REPS=1 TDPIPE_PERF_SCALE=0 \
-  TDPIPE_BENCH_OUT="$trace_tmp/hotpath.json" \
-  target/release/perf_trajectory
-target/release/perf_trajectory --check "$trace_tmp/hotpath.json"
-target/release/perf_trajectory --check BENCH_hotpath.json
+step "benchmark build (perfbench builds and its tests pass)"
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test --manifest-path perfbench/Cargo.toml -q
 
 step "span/bubble attribution smoke (journal -> reports -> validators)"
 target/release/tdpipe-cli run --scheduler td --requests 200 \
@@ -197,4 +198,12 @@ target/release/tdpipe-cli bubble-report \
   --out "$trace_tmp/fleet.bubbles.json" > /dev/null
 target/release/tdpipe-cli bubble-report --check "$trace_tmp/fleet.bubbles.json"
 
-printf '\nci OK: build + tests + smoke + trace export + metrics gate + metered run at scale + sessions smoke + fleet smoke + perf smoke + span/bubble smoke all green\n'
+step "results regenerate (every figure and ablation binary vs results/)"
+mkdir "$trace_tmp/results"
+for src in crates/bench/src/bin/*.rs; do
+  env -u TDPIPE_REQUESTS TDPIPE_RESULTS_DIR="$trace_tmp/results" \
+    "target/release/$(basename "$src" .rs)" > /dev/null
+done
+diff -r --exclude=smoke --exclude='fig1_gantt_*' results "$trace_tmp/results"
+
+printf '\nci OK: build + tests + smoke + trace export + metrics gate + metered run at scale + sessions smoke + fleet smoke + benchmark build + span/bubble smoke + results regenerate all green\n'

@@ -20,13 +20,13 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use tdpipe::baselines::{BaselineEngine, Batching, Layout};
+use tdpipe::baselines::Scheduler;
 use tdpipe::core::config::EngineConfig;
 use tdpipe::core::engine::RunOutcome;
-use tdpipe::core::{TdPipeConfig, TdPipeEngine};
+use tdpipe::core::TdPipeConfig;
 use tdpipe::fleet::{
-    parse_pool, run_fleet, FleetConfig, FleetOutcome, FleetWorkload, Replica, ReplicaSpec,
-    RouterConfig, RouterPolicy, SloSpec,
+    parse_pool, run_fleet, FleetConfig, FleetOutcome, Replica, ReplicaSpec, RouterConfig,
+    RouterPolicy, SloSpec,
 };
 use tdpipe::hw::NodeSpec;
 use tdpipe::metrics::{default_rules, diff_snapshots, to_prom, MetricsSnapshot};
@@ -40,9 +40,7 @@ use tdpipe::spans::{
     span_table, validate_bubble_report, validate_span_report,
 };
 use tdpipe::trace::{chrome_trace, decision_table, validate_chrome_trace, FlightRecorder};
-use tdpipe::workload::{
-    ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, Trace, TraceStats,
-};
+use tdpipe::workload::{ArrivalProcess, SessionConfig, ShareGptLikeConfig, TraceStats, Workload};
 
 const USAGE: &str = "\
 tdpipe-cli — TD-Pipe simulation driver
@@ -205,57 +203,53 @@ fn node_of(name: &str, gpus: u32) -> Result<NodeSpec, String> {
     })
 }
 
-fn baseline_of(name: &str) -> Result<(Layout, Batching), String> {
-    Ok(match name {
-        "tp-sb" => (Layout::Tensor, Batching::Separate),
-        "tp-hb" => (Layout::Tensor, Batching::Hybrid),
-        "pp-sb" => (Layout::Pipeline, Batching::Separate),
-        "pp-hb" => (Layout::Pipeline, Batching::Hybrid),
-        other => return Err(format!("unknown scheduler '{other}'")),
-    })
+/// The one run configuration, for a single node and for a fleet alike.
+/// The journal and the timeline are recorded when an output needs them:
+/// the Chrome trace or the raw journal (`recordings`), or the span and
+/// bubble metrics a metrics snapshot folds in. Only TD-Pipe keeps a
+/// journal, so a baseline records neither.
+fn run_config(scheduler: Scheduler, metrics: bool, recordings: bool, reuse: bool) -> TdPipeConfig {
+    let record = scheduler == Scheduler::TdPipe && (metrics || recordings);
+    TdPipeConfig {
+        engine: EngineConfig {
+            record_metrics: metrics,
+            record_trace: record,
+            record_timeline: record,
+            session_reuse: reuse,
+            ..EngineConfig::default()
+        },
+        ..TdPipeConfig::default()
+    }
 }
 
-fn run_one(
-    scheduler: &str,
+/// `run` on one node: any scheduler on any workload, with the recorded
+/// Chrome trace (`--trace-out`) and raw journal (`--journal-out`) written
+/// out, and the journal's span/bubble analysis folded into the metrics.
+#[allow(clippy::too_many_arguments)]
+fn run_cmd(
+    scheduler: Scheduler,
     model: &ModelSpec,
     node: &NodeSpec,
-    trace: &Trace,
-    arrivals: &[f64],
+    cfg: &TdPipeConfig,
+    workload: Workload<'_>,
     predictor: &dyn OutputLenPredictor,
-    record_metrics: bool,
+    trace_out: Option<&str>,
+    journal_out: Option<&str>,
 ) -> Result<(RunReport, MetricsSnapshot), String> {
-    let cfg = EngineConfig {
-        record_metrics,
-        ..EngineConfig::default()
-    };
-    let feasibility = |e: tdpipe::core::engine::InfeasibleConfig| e.to_string();
-    Ok(match scheduler {
-        "td" => {
-            let td_cfg = TdPipeConfig {
-                engine: EngineConfig {
-                    // The span/bubble metrics are derived from the
-                    // journal, so a metrics-recording run switches the
-                    // (pure-observer, schedule-neutral) recorders on too.
-                    record_trace: record_metrics,
-                    record_timeline: record_metrics,
-                    ..cfg
-                },
-                ..TdPipeConfig::default()
-            };
-            let out = TdPipeEngine::new(model.clone(), node, td_cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
-            (out.report, metrics)
-        }
-        other => {
-            let (layout, batching) = baseline_of(other)?;
-            let out = BaselineEngine::new(layout, batching, model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            (out.report, out.metrics)
-        }
-    })
+    let out = scheduler
+        .run(model, node, cfg, workload, predictor)
+        .map_err(|e| e.to_string())?;
+    if let Workload::Sessions(sessions) = workload {
+        println!(
+            "sessions: {} sessions -> {} turns, reuse {}",
+            sessions.num_sessions,
+            sessions.len(),
+            if cfg.engine.session_reuse { "on" } else { "off" }
+        );
+    }
+    write_recordings(&out, trace_out, journal_out)?;
+    let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
+    Ok((out.report, metrics))
 }
 
 /// Fold the span/bubble analysis of one or more journals into a run's
@@ -310,75 +304,12 @@ fn load_journals(
     let mut recorders = Vec::with_capacity(paths.len());
     for p in &paths {
         let json = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
-        recorders
-            .push(serde_json::from_str(&json).map_err(|e| format!("{p}: bad journal: {e}"))?);
+        let r: FlightRecorder =
+            serde_json::from_str(&json).map_err(|e| format!("{p}: bad journal: {e}"))?;
+        r.check_time_order().map_err(|e| format!("{p}: bad journal: {e}"))?;
+        recorders.push(r);
     }
     Ok((labels, recorders))
-}
-
-/// `run --sessions N`: a closed-loop multi-turn session run on the
-/// TD-Pipe scheduler, with session-KV reuse controlled by `--reuse`.
-#[allow(clippy::too_many_arguments)]
-fn run_sessions_cmd(
-    sessions: &SessionTrace,
-    reuse: bool,
-    model: &ModelSpec,
-    node: &NodeSpec,
-    predictor: &dyn OutputLenPredictor,
-    record_metrics: bool,
-    trace_out: Option<&str>,
-    journal_out: Option<&str>,
-) -> Result<(RunReport, MetricsSnapshot), String> {
-    let record = record_metrics || trace_out.is_some() || journal_out.is_some();
-    let cfg = TdPipeConfig {
-        engine: EngineConfig {
-            record_metrics,
-            record_trace: record,
-            record_timeline: record,
-            session_reuse: reuse,
-            ..EngineConfig::default()
-        },
-        ..TdPipeConfig::default()
-    };
-    let out = TdPipeEngine::new(model.clone(), node, cfg)
-        .map_err(|e| e.to_string())?
-        .run_sessions(sessions, predictor);
-    println!(
-        "sessions: {} sessions -> {} turns, reuse {}",
-        sessions.num_sessions,
-        sessions.len(),
-        if reuse { "on" } else { "off" }
-    );
-    write_recordings(&out, trace_out, journal_out)?;
-    let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
-    Ok((out.report, metrics))
-}
-
-/// `run --trace-out/--journal-out`: a recorded TD-Pipe run, offline or
-/// on the sampled `arrivals`, with its recordings written out.
-#[allow(clippy::too_many_arguments)]
-fn run_td_recorded_cmd(
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    arrivals: &[f64],
-    predictor: &dyn OutputLenPredictor,
-    record_metrics: bool,
-    trace_out: Option<&str>,
-    journal_out: Option<&str>,
-) -> Result<(RunReport, MetricsSnapshot), String> {
-    let out = run_td_instrumented(
-        model,
-        node,
-        trace,
-        arrivals,
-        predictor,
-        true,
-        record_metrics,
-    )?;
-    write_recordings(&out, trace_out, journal_out)?;
-    let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
-    Ok((out.report, metrics))
 }
 
 /// Write a recorded run's Chrome trace (`--trace-out`) and raw journal
@@ -405,32 +336,6 @@ fn write_recordings(
     Ok(())
 }
 
-/// A TD-Pipe run on per-request arrival times (empty: offline) with the
-/// flight recorder switched on, plus per-segment recording for the
-/// Chrome export (`timeline`) and the metrics plane (`metrics`) if asked.
-fn run_td_instrumented(
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    arrivals: &[f64],
-    predictor: &dyn OutputLenPredictor,
-    timeline: bool,
-    metrics: bool,
-) -> Result<RunOutcome, String> {
-    let cfg = TdPipeConfig {
-        engine: EngineConfig {
-            record_trace: true,
-            record_timeline: timeline,
-            record_metrics: metrics,
-            ..EngineConfig::default()
-        },
-        ..TdPipeConfig::default()
-    };
-    Ok(TdPipeEngine::new(model.clone(), node, cfg)
-        .map_err(|e| e.to_string())?
-        .run_with_arrivals(trace, arrivals, predictor))
-}
-
 /// `run --replicas/--pool/--router`: route one workload across a replica
 /// pool with the seeded fleet router and aggregate a cluster report.
 #[allow(clippy::too_many_arguments)]
@@ -441,36 +346,19 @@ fn run_fleet_cmd(
     slo_ttft: f64,
     model: &ModelSpec,
     seed: u64,
-    workload: &FleetWorkload<'_>,
+    workload: &Workload<'_>,
     predictor: &(dyn OutputLenPredictor + Sync),
-    want_metrics: bool,
-    reuse: bool,
+    engine: &TdPipeConfig,
     trace_out: Option<&str>,
     journal_out: Option<&str>,
 ) -> Result<FleetOutcome, String> {
     let policy = RouterPolicy::parse(router)?;
-    let record = want_metrics || trace_out.is_some() || journal_out.is_some();
-    let engine = EngineConfig {
-        record_metrics: want_metrics,
-        record_trace: record,
-        record_timeline: record,
-        session_reuse: reuse,
-        ..EngineConfig::default()
-    };
     let pool = parse_pool(pool_spec, gpus)?;
     let labels: Vec<String> = pool.iter().map(|(label, _)| label.clone()).collect();
     let replicas: Vec<Replica> = pool
         .into_iter()
         .map(|(label, node)| {
-            Replica::new(ReplicaSpec::new(
-                &label,
-                model.clone(),
-                node,
-                TdPipeConfig {
-                    engine: engine.clone(),
-                    ..TdPipeConfig::default()
-                },
-            ))
+            Replica::new(ReplicaSpec::new(&label, model.clone(), node, engine.clone()))
             .map_err(|e| format!("replica {label}: {e}"))
         })
         .collect::<Result<_, _>>()?;
@@ -561,10 +449,10 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
     };
     let args = Args::parse(rest)?;
     let model = model_of(&args.get("model", "13b"))?;
-    let gpus = args.usize("gpus", 4)? as u32;
-    if gpus == 0 {
-        return Err("--gpus: need at least one GPU".into());
-    }
+    let gpus = u32::try_from(args.usize("gpus", 4)?)
+        .ok()
+        .filter(|&g| g > 0)
+        .ok_or_else(|| format!("--gpus: need 1 to {} GPUs", u32::MAX))?;
     let node = node_of(&args.get("node", "l20"), gpus)?;
     let requests = args.usize("requests", 1000)?;
     let seed = args.usize("seed", 42)? as u64;
@@ -591,10 +479,12 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 Some(p) => p,
                 None => &OraclePredictor,
             };
-            let scheduler = args.get("scheduler", "td");
+            let scheduler: Scheduler = args.get("scheduler", Scheduler::TdPipe.flag()).parse()?;
             let metrics_out = args.opt("metrics-out");
             let prom_out = args.opt("prom-out");
             let want_metrics = metrics_out.is_some() || prom_out.is_some();
+            let trace_out = args.opt("trace-out");
+            let journal_out = args.opt("journal-out");
             let arrival_kind = args.get("arrival", "offline");
             let rate = args.f64("rate", 8.0)?;
             let arrival = arrival_of(&arrival_kind, rate, seed ^ 0xA881)?;
@@ -619,15 +509,26 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 "off" => false,
                 other => return Err(format!("--reuse: 'on' or 'off', got '{other}'")),
             };
+            let workload = match &sessions {
+                Some(sessions) => Workload::Sessions(sessions),
+                None => Workload::Requests {
+                    trace: &trace,
+                    arrivals: &arrivals,
+                },
+            };
             let fleet_mode = ["replicas", "pool", "router"]
                 .iter()
                 .any(|k| args.opt(k).is_some());
+            let recordings = trace_out.is_some() || journal_out.is_some();
+            let td_only = |what: &str| format!("{what} (got --scheduler {})", scheduler.flag());
+            if scheduler != Scheduler::TdPipe && fleet_mode {
+                return Err(td_only("fleet mode runs the TD-Pipe scheduler only"));
+            }
+            if scheduler != Scheduler::TdPipe && recordings {
+                return Err(td_only("--trace-out/--journal-out only record the TD-Pipe scheduler"));
+            }
+            let cfg = run_config(scheduler, want_metrics, recordings, reuse);
             if fleet_mode {
-                if scheduler != "td" {
-                    return Err(format!(
-                        "fleet mode runs the TD-Pipe scheduler only (got --scheduler {scheduler})"
-                    ));
-                }
                 let num_replicas = args.usize("replicas", 2)?;
                 if num_replicas == 0 {
                     return Err("--replicas: need at least one replica".into());
@@ -636,13 +537,6 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 let pool_spec = args.get("pool", &format!("{node_name}:{num_replicas}"));
                 let router = args.get("router", "jsq");
                 let slo_ttft = args.f64("slo-ttft", 10.0)?;
-                let workload = match &sessions {
-                    Some(sessions) => FleetWorkload::Sessions(sessions),
-                    None => FleetWorkload::Requests {
-                        trace: &trace,
-                        arrivals: &arrivals,
-                    },
-                };
                 let outcome = run_fleet_cmd(
                     &pool_spec,
                     gpus,
@@ -652,10 +546,9 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                     seed,
                     &workload,
                     predictor,
-                    want_metrics,
-                    reuse,
-                    args.opt("trace-out"),
-                    args.opt("journal-out"),
+                    &cfg,
+                    trace_out,
+                    journal_out,
                 )?;
                 if let Some(sessions) = &sessions {
                     println!(
@@ -675,50 +568,16 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 write_metrics_outputs(&metrics, metrics_out, prom_out)?;
                 return Ok(ExitCode::SUCCESS);
             }
-            let (report, metrics) = if let Some(sessions) = &sessions {
-                if scheduler != "td" {
-                    return Err(format!(
-                        "--sessions runs the TD-Pipe scheduler only (got --scheduler {scheduler})"
-                    ));
-                }
-                run_sessions_cmd(
-                    sessions,
-                    reuse,
-                    &model,
-                    &node,
-                    predictor,
-                    want_metrics,
-                    args.opt("trace-out"),
-                    args.opt("journal-out"),
-                )?
-            } else if args.opt("trace-out").is_some() || args.opt("journal-out").is_some() {
-                if scheduler != "td" {
-                    return Err(format!(
-                        "--trace-out/--journal-out only record the TD-Pipe scheduler \
-                         (got --scheduler {scheduler})"
-                    ));
-                }
-                run_td_recorded_cmd(
-                    &model,
-                    &node,
-                    &trace,
-                    &arrivals,
-                    predictor,
-                    want_metrics,
-                    args.opt("trace-out"),
-                    args.opt("journal-out"),
-                )?
-            } else {
-                run_one(
-                    &scheduler,
-                    &model,
-                    &node,
-                    &trace,
-                    &arrivals,
-                    predictor,
-                    want_metrics,
-                )?
-            };
+            let (report, metrics) = run_cmd(
+                scheduler,
+                &model,
+                &node,
+                &cfg,
+                workload,
+                predictor,
+                trace_out,
+                journal_out,
+            )?;
             // Fold the predictor's per-bucket hit/miss counters into the
             // export when a trained predictor steered the run.
             let metrics = match &trained {
@@ -779,15 +638,11 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 );
             } else {
                 let trace = ShareGptLikeConfig::small(requests, seed).generate();
-                let out = run_td_instrumented(
-                    &model,
-                    &node,
-                    &trace,
-                    &[],
-                    &OraclePredictor,
-                    false,
-                    false,
-                )?;
+                let mut cfg = run_config(Scheduler::TdPipe, false, false, true);
+                cfg.engine.record_trace = true;
+                let out = Scheduler::TdPipe
+                    .run(&model, &node, &cfg, Workload::offline(&trace), &OraclePredictor)
+                    .map_err(|e| e.to_string())?;
                 println!("{}", out.report);
                 print!("{}", decision_table(&out.journal));
             }
@@ -885,10 +740,11 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
         }
         "sweep" => {
             let trace = ShareGptLikeConfig::small(requests, seed).generate();
-            for s in ["tp-sb", "tp-hb", "pp-sb", "pp-hb", "td"] {
-                match run_one(s, &model, &node, &trace, &[], &OraclePredictor, false) {
-                    Ok((r, _)) => println!("{r}"),
-                    Err(e) => println!("{s:<10} {e}"),
+            for s in Scheduler::ALL {
+                let cfg = run_config(s, false, false, true);
+                match s.run(&model, &node, &cfg, Workload::offline(&trace), &OraclePredictor) {
+                    Ok(out) => println!("{}", out.report),
+                    Err(e) => println!("{:<10} {e}", s.flag()),
                 }
             }
         }
@@ -977,9 +833,10 @@ mod tests {
         let trace = ShareGptLikeConfig::small(24, 3).generate();
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
-        let out =
-            run_td_instrumented(&model, &node, &trace, &[], &OraclePredictor, true, false)
-                .unwrap();
+        let cfg = run_config(Scheduler::TdPipe, false, true, true);
+        let out = Scheduler::TdPipe
+            .run(&model, &node, &cfg, Workload::offline(&trace), &OraclePredictor)
+            .unwrap();
         assert!(!out.journal.is_empty(), "recorder was on");
         assert!(!out.timeline.segments().is_empty(), "timeline was on");
         let check = validate_chrome_trace(&chrome_trace(&out.timeline, &out.journal)).unwrap();
@@ -1003,15 +860,20 @@ mod tests {
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
         let arrivals = arrival_of("poisson", 8.0, 5).unwrap().sample(trace.len());
-        let predictor = &OraclePredictor;
-        let record = |arrivals: &[f64]| {
-            run_td_recorded_cmd(&model, &node, &trace, arrivals, predictor, true, None, None)
+        let td = Scheduler::TdPipe;
+        let run = |arrivals: &[f64], recordings| {
+            let cfg = run_config(td, true, recordings, true);
+            let workload = Workload::Requests {
+                trace: &trace,
+                arrivals,
+            };
+            run_cmd(td, &model, &node, &cfg, workload, &OraclePredictor, None, None)
                 .unwrap()
                 .0
         };
-        let (plain, _) = run_one("td", &model, &node, &trace, &arrivals, predictor, false).unwrap();
-        assert_eq!(record(&arrivals), plain);
-        assert_ne!(record(&[]), plain, "the arrivals shape the run");
+        let plain = run(&arrivals, false);
+        assert_eq!(run(&arrivals, true), plain);
+        assert_ne!(run(&[], true), plain, "the arrivals shape the run");
     }
 
     #[test]
@@ -1027,20 +889,22 @@ mod tests {
         let trace = ShareGptLikeConfig::small(12, 1).generate();
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
-        for s in ["td", "tp-sb", "tp-hb", "pp-sb", "pp-hb"] {
-            let (r, m) = run_one(s, &model, &node, &trace, &[], &OraclePredictor, true).unwrap();
-            assert_eq!(r.num_requests, 12, "{s}");
-            assert!(m.scalar("throughput_total").is_some(), "{s} exports metrics");
+        let run = |s: Scheduler, model: &ModelSpec, node: &NodeSpec| {
+            let cfg = run_config(s, true, false, true);
+            let workload = Workload::offline(&trace);
+            run_cmd(s, model, node, &cfg, workload, &OraclePredictor, None, None)
+        };
+        for flag in ["td", "tp-sb", "tp-hb", "pp-sb", "pp-hb"] {
+            let (r, m) = run(flag.parse().unwrap(), &model, &node).unwrap();
+            assert_eq!(r.num_requests, 12, "{flag}");
+            assert!(m.scalar("throughput_total").is_some(), "{flag} exports metrics");
         }
-        assert!(run_one("magic", &model, &node, &trace, &[], &OraclePredictor, false).is_err());
-        let err = run_one(
-            "td",
+        let err = real_main(&args("run --requests 8 --scheduler magic")).unwrap_err();
+        assert!(err.contains("unknown scheduler 'magic'"), "{err}");
+        let err = run(
+            Scheduler::TdPipe,
             &model_of("70b").unwrap(),
             &node_of("l20", 1).unwrap(),
-            &trace,
-            &[],
-            &OraclePredictor,
-            false,
         )
         .unwrap_err();
         assert!(err.contains("infeasible"));
@@ -1093,13 +957,12 @@ mod tests {
             10.0,
             &model,
             5,
-            &FleetWorkload::Requests {
+            &Workload::Requests {
                 trace: &trace,
                 arrivals: &arrivals,
             },
             &OraclePredictor,
-            true,
-            true,
+            &run_config(Scheduler::TdPipe, true, false, true),
             None,
             None,
         )
@@ -1117,13 +980,9 @@ mod tests {
                 10.0,
                 &model,
                 5,
-                &FleetWorkload::Requests {
-                    trace: &trace,
-                    arrivals: &[],
-                },
+                &Workload::offline(&trace),
                 &OraclePredictor,
-                false,
-                true,
+                &run_config(Scheduler::TdPipe, false, false, true),
                 None,
                 None,
             )
@@ -1155,7 +1014,13 @@ mod tests {
     /// come back as clean usage errors.
     #[test]
     fn zero_counts_are_rejected_in_real_main() {
-        for cmd in ["run --requests 8 --gpus 0", "plan --gpus 0"] {
+        for cmd in [
+            "run --requests 8 --gpus 0",
+            "plan --gpus 0",
+            // Beyond u32: this used to wrap to 1 GPU.
+            "plan --gpus 4294967297",
+            "plan --gpus 4294967296",
+        ] {
             let err = real_main(&args(cmd)).unwrap_err();
             assert!(err.contains("--gpus"), "{cmd}: {err}");
         }
@@ -1179,9 +1044,11 @@ mod tests {
         let mut sc = SessionConfig::small(16, 3);
         sc.arrival = arrival_of("poisson", 4.0, 3).unwrap();
         let sessions = sc.generate();
+        let td = Scheduler::TdPipe;
         let run = |reuse| {
-            run_sessions_cmd(&sessions, reuse, &model, &node, &OraclePredictor, true, None, None)
-                .unwrap()
+            let cfg = run_config(td, true, false, reuse);
+            let workload = Workload::Sessions(&sessions);
+            run_cmd(td, &model, &node, &cfg, workload, &OraclePredictor, None, None).unwrap()
         };
         let (on, m) = run(true);
         let (off, _) = run(false);
@@ -1274,6 +1141,56 @@ mod tests {
         )))
         .unwrap();
         assert_eq!(code, ExitCode::SUCCESS);
+    }
+
+    /// Swap the first adjacent pair of entries in the journal list `key`
+    /// whose times differ and that `same` pairs up, so exactly one event
+    /// goes back in time. Entries are `{"t":..,"event":..}` objects, and
+    /// none nests a `"t"` key.
+    fn permute_journal(json: &str, key: &str, same: impl Fn(&str, &str) -> bool) -> String {
+        const SEP: &str = "},{\"t\":";
+        let start = json.find(&format!("\"{key}\":[")).unwrap() + key.len() + 4;
+        let end = start + json[start..].find("}]").unwrap();
+        let mut items: Vec<&str> = json[start..end].split(SEP).collect();
+        let t = |item: &str| item.split(',').next().unwrap().parse::<f64>().unwrap();
+        let k = (1..items.len() - 2)
+            .find(|&k| t(items[k]) < t(items[k + 1]) && same(items[k], items[k + 1]))
+            .unwrap();
+        items.swap(k, k + 1);
+        format!("{}{}{}", &json[..start], items.join(SEP), &json[end..])
+    }
+
+    /// Every journal reader rejects a journal that goes back in time,
+    /// naming the event, in release builds too.
+    #[test]
+    fn out_of_order_journals_are_rejected() {
+        let dir = std::env::temp_dir().join("tdpipe-cli-order-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let j = dir.join("run.journal.json");
+        let jp = j.to_str().unwrap();
+        real_main(&args(&format!("run --requests 24 --seed 3 --gpus 2 --journal-out {jp}")))
+            .unwrap();
+        let json = std::fs::read_to_string(&j).unwrap();
+        fn device(item: &str) -> Option<&str> {
+            item.split("\"device\":").nth(1)?.split(',').next()
+        }
+        let cases = [
+            ("engine event", permute_journal(&json, "events", |_, _| true)),
+            (
+                "stage event",
+                permute_journal(&json, "stage_events", |a, b| device(a) == device(b)),
+            ),
+        ];
+        for (what, bad) in cases {
+            let bp = dir.join("bad.journal.json");
+            std::fs::write(&bp, bad).unwrap();
+            let bp = bp.to_str().unwrap();
+            for cmd in ["span-report", "bubble-report", "trace-summary"] {
+                let err = real_main(&args(&format!("{cmd} --journal {bp}"))).unwrap_err();
+                assert!(err.contains(&format!("bad journal: {what} ")), "{cmd}: {err}");
+                assert!(err.contains("goes back in time"), "{cmd}: {err}");
+            }
+        }
     }
 
     /// The span-report subcommand without inputs is a usage error, and a

@@ -2,14 +2,14 @@
 //! request exactly once, generate exactly the oracle token counts, and
 //! leave the KV pool empty — regardless of memory pressure or layout.
 
-use tdpipe::baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
+use tdpipe::baselines::{Scheduler, TpSbEngine};
 use tdpipe::core::config::EngineConfig;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
 use tdpipe::sim::RunReport;
-use tdpipe::workload::{ShareGptLikeConfig, Trace};
+use tdpipe::workload::{ShareGptLikeConfig, Trace, Workload};
 
 fn check(report: &RunReport, trace: &Trace) {
     assert_eq!(report.num_requests, trace.len());
@@ -21,25 +21,13 @@ fn check(report: &RunReport, trace: &Trace) {
     assert!(report.mean_utilization > 0.0 && report.mean_utilization <= 1.0);
 }
 
-fn all_engines(model: ModelSpec, node: &NodeSpec, trace: &Trace) -> Vec<RunReport> {
-    let cfg = EngineConfig::default();
-    let mut out = Vec::new();
-    if let Ok(e) = TpSbEngine::new(model.clone(), node, cfg.clone()) {
-        out.push(e.run(trace, &OraclePredictor).report);
-    }
-    if let Ok(e) = TpHbEngine::new(model.clone(), node, cfg.clone()) {
-        out.push(e.run(trace, &OraclePredictor).report);
-    }
-    if let Ok(e) = PpSbEngine::new(model.clone(), node, cfg.clone()) {
-        out.push(e.run(trace, &OraclePredictor).report);
-    }
-    if let Ok(e) = PpHbEngine::new(model.clone(), node, cfg) {
-        out.push(e.run(trace, &OraclePredictor).report);
-    }
-    if let Ok(e) = TdPipeEngine::new(model, node, TdPipeConfig::default()) {
-        out.push(e.run(trace, &OraclePredictor).report);
-    }
-    out
+/// Every scheduler that fits `node`, on `workload`.
+fn all_engines(model: ModelSpec, node: &NodeSpec, workload: Workload) -> Vec<RunReport> {
+    Scheduler::ALL
+        .into_iter()
+        .filter_map(|s| s.run(&model, node, &s.default_config(), workload, &OraclePredictor).ok())
+        .map(|out| out.report)
+        .collect()
 }
 
 #[test]
@@ -47,7 +35,7 @@ fn every_engine_conserves_on_every_layout() {
     let trace = ShareGptLikeConfig::small(150, 5).generate();
     for gpus in [1u32, 2, 3, 4] {
         for node in [NodeSpec::l20(gpus), NodeSpec::a100(gpus)] {
-            let reports = all_engines(ModelSpec::llama2_13b(), &node, &trace);
+            let reports = all_engines(ModelSpec::llama2_13b(), &node, Workload::offline(&trace));
             assert!(!reports.is_empty());
             for r in &reports {
                 check(r, &trace);
@@ -63,7 +51,7 @@ fn conservation_under_heavy_memory_pressure() {
     let trace = ShareGptLikeConfig::small(60, 11).generate();
     let model = ModelSpec::tiny_test();
     let node = NodeSpec::tiny_test(4);
-    for r in all_engines(model, &node, &trace) {
+    for r in all_engines(model, &node, Workload::offline(&trace)) {
         check(&r, &trace);
     }
 }
@@ -107,32 +95,12 @@ fn online_arrivals_conserve_across_all_engines() {
         seed: 3,
     }
     .sample(trace.len());
-    let model = ModelSpec::llama2_13b();
-    let node = NodeSpec::l20(4);
-    let cfg = EngineConfig::default();
-
-    let reports = vec![
-        TpSbEngine::new(model.clone(), &node, cfg.clone())
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-        TpHbEngine::new(model.clone(), &node, cfg.clone())
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-        PpSbEngine::new(model.clone(), &node, cfg.clone())
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-        PpHbEngine::new(model.clone(), &node, cfg)
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-        TdPipeEngine::new(model, &node, TdPipeConfig::default())
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-    ];
+    let workload = Workload::Requests {
+        trace: &trace,
+        arrivals: &arrivals,
+    };
+    let reports = all_engines(ModelSpec::llama2_13b(), &NodeSpec::l20(4), workload);
+    assert_eq!(reports.len(), 5, "all five fit");
     let last_arrival = *arrivals.last().unwrap();
     for r in &reports {
         check(r, &trace);

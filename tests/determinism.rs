@@ -1,11 +1,13 @@
 //! Determinism and seed-sensitivity across the whole stack.
 
+use tdpipe::baselines::Scheduler;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::classifier::TrainConfig;
 use tdpipe::predictor::{LengthPredictor, OraclePredictor};
-use tdpipe::workload::ShareGptLikeConfig;
+use tdpipe::workload::{ShareGptLikeConfig, Workload};
+use tdpipe_bench::map_indexed_parallel;
 
 #[test]
 fn end_to_end_run_is_bitwise_deterministic() {
@@ -51,95 +53,80 @@ fn trained_predictor_pipeline_is_deterministic() {
     );
 }
 
+/// Run `s` on 13B over `gpus` L20s and serialize its report.
+fn serialized_report(s: Scheduler, gpus: u32, workload: Workload) -> String {
+    let out = s
+        .run(
+            &ModelSpec::llama2_13b(),
+            &NodeSpec::l20(gpus),
+            &s.default_config(),
+            workload,
+            &OraclePredictor,
+        )
+        .expect("13B fits");
+    serde_json::to_string(&out.report).expect("serialize report")
+}
+
 /// The hot-path refactor's golden gate: every scheduler, run twice over a
 /// fixed trace, must produce *byte-identical* serialized reports — and the
-/// parallel sweep must produce those same bytes at every thread count.
+/// parallel map must produce those same bytes at every thread count.
 /// Catches any scheduling change that leaks into simulated results, and
-/// any thread-count dependence in `run_cells_parallel`.
+/// any thread-count dependence in `map_indexed_parallel`.
 #[test]
 fn all_schedulers_serialize_bit_identically_across_runs_and_thread_counts() {
-    use tdpipe_bench::{run_cells_parallel_with_threads, run_scheduler, Scheduler};
-
     let trace = ShareGptLikeConfig::small(120, 5).generate();
-    let cells: Vec<_> = Scheduler::ALL
-        .into_iter()
-        .map(|s| (s, ModelSpec::llama2_13b(), NodeSpec::l20(4)))
-        .collect();
-
-    let serialize = |r: &Option<tdpipe::sim::RunReport>| -> String {
-        serde_json::to_string(r.as_ref().expect("13B fits 4xL20")).expect("serialize report")
-    };
+    let run = |s| serialized_report(s, 4, Workload::offline(&trace));
 
     // Golden: one serial pass; a second serial pass must match it exactly.
-    let golden: Vec<String> = cells
-        .iter()
-        .map(|(s, m, n)| serialize(&run_scheduler(*s, m, n, &trace, &OraclePredictor)))
-        .collect();
-    for ((s, m, n), want) in cells.iter().zip(&golden) {
-        let again = serialize(&run_scheduler(*s, m, n, &trace, &OraclePredictor));
-        assert_eq!(&again, want, "{} rerun differs", s.name());
+    let golden: Vec<String> = Scheduler::ALL.map(run).to_vec();
+    for (s, want) in Scheduler::ALL.into_iter().zip(&golden) {
+        assert_eq!(&run(s), want, "{} rerun differs", s.name());
     }
 
-    // The parallel sweep must reproduce the golden bytes in input order,
+    // The parallel map must reproduce the golden bytes in input order,
     // no matter how many workers carve up the cells.
     for threads in [1, 2, 3, 8] {
-        let reports = run_cells_parallel_with_threads(&cells, &trace, &OraclePredictor, threads);
-        let got: Vec<String> = reports.iter().map(&serialize).collect();
+        let got = map_indexed_parallel(&Scheduler::ALL, threads, |_, &s| run(s));
         assert_eq!(got, golden, "{threads}-thread sweep differs");
     }
 }
 
 /// Golden gate for the million-request sweep path: a 10k-request
 /// multi-seed sweep, serialized byte-for-byte, must be identical whether
-/// the specs run serially or through `run_sweep_parallel_with_threads` at
-/// any worker count. Unlike the cell sweep above, each spec here generates
-/// its *own* trace inside the worker, so this also pins trace generation
+/// the cells run serially or through `map_indexed_parallel` at any worker
+/// count. Unlike the cell sweep above, each cell here generates its *own*
+/// trace inside the worker, so this also pins trace generation
 /// determinism under concurrency.
 #[test]
 fn ten_k_multi_seed_sweep_is_bit_identical_serial_vs_parallel() {
-    use tdpipe_bench::{run_sweep_parallel_with_threads, Scheduler, SweepSpec};
-
-    let mut specs = Vec::new();
+    let mut cells = Vec::new();
     for seed in [5u64, 6] {
         for s in [Scheduler::PpSb, Scheduler::TdPipe] {
-            specs.push(SweepSpec::paper_cell(
-                s,
-                ModelSpec::llama2_13b(),
-                NodeSpec::l20(4),
-                10_000,
-                seed,
-            ));
+            cells.push((s, seed));
         }
     }
-
-    let serialize = |r: &Option<tdpipe::sim::RunReport>| -> String {
-        serde_json::to_string(r.as_ref().expect("13B fits 4xL20")).expect("serialize report")
+    let run = |&(s, seed): &(Scheduler, u64)| {
+        let trace = ShareGptLikeConfig::small(10_000, seed).generate();
+        serialized_report(s, 4, Workload::offline(&trace))
     };
 
-    let golden: Vec<String> = specs
-        .iter()
-        .map(|spec| serialize(&spec.run(&OraclePredictor)))
-        .collect();
+    let golden: Vec<String> = cells.iter().map(run).collect();
 
     for threads in [1, 2, 8] {
-        let reports = run_sweep_parallel_with_threads(&specs, &OraclePredictor, threads);
-        let got: Vec<String> = reports.iter().map(&serialize).collect();
+        let got = map_indexed_parallel(&cells, threads, |_, cell| run(cell));
         assert_eq!(got, golden, "{threads}-thread sweep differs");
     }
 }
 
 /// Online extension of the golden gate: all five schedulers fed the same
 /// Poisson arrival vector must serialize byte-identically run-over-run,
-/// and the parallel sweep must reproduce those bytes at every thread
+/// and the parallel map must reproduce those bytes at every thread
 /// count. Also proves the cross-engine arrival contract: one vector is
 /// *accepted* identically everywhere (the rejection side lives in
 /// `cross_engine_arrival_rejection_is_uniform`).
 #[test]
 fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads() {
     use tdpipe::workload::ArrivalProcess;
-    use tdpipe_bench::{
-        run_cells_parallel_arrivals_with_threads, run_scheduler_with_arrivals, Scheduler,
-    };
 
     let trace = ShareGptLikeConfig::small(96, 5).generate();
     let arrivals = ArrivalProcess::Poisson {
@@ -147,59 +134,28 @@ fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads()
         seed: 17,
     }
     .sample(trace.len());
-    let cells: Vec<_> = Scheduler::ALL
-        .into_iter()
-        .map(|s| (s, ModelSpec::llama2_13b(), NodeSpec::l20(4)))
-        .collect();
-
-    let serialize = |r: &Option<tdpipe::sim::RunReport>| -> String {
-        serde_json::to_string(r.as_ref().expect("13B fits 4xL20")).expect("serialize report")
+    let workload = Workload::Requests {
+        trace: &trace,
+        arrivals: &arrivals,
     };
+    let run = |s| serialized_report(s, 4, workload);
 
-    let golden: Vec<String> = cells
-        .iter()
-        .map(|(s, m, n)| {
-            serialize(&run_scheduler_with_arrivals(
-                *s,
-                m,
-                n,
-                &trace,
-                &arrivals,
-                &OraclePredictor,
-            ))
-        })
-        .collect();
-    for ((s, m, n), want) in cells.iter().zip(&golden) {
-        let again = serialize(&run_scheduler_with_arrivals(
-            *s,
-            m,
-            n,
-            &trace,
-            &arrivals,
-            &OraclePredictor,
-        ));
-        assert_eq!(&again, want, "{} online rerun differs", s.name());
+    let golden: Vec<String> = Scheduler::ALL.map(run).to_vec();
+    for (s, want) in Scheduler::ALL.into_iter().zip(&golden) {
+        assert_eq!(&run(s), want, "{} online rerun differs", s.name());
     }
     for threads in [1, 2, 8] {
-        let reports = run_cells_parallel_arrivals_with_threads(
-            &cells,
-            &trace,
-            &arrivals,
-            &OraclePredictor,
-            threads,
-        );
-        let got: Vec<String> = reports.iter().map(&serialize).collect();
+        let got = map_indexed_parallel(&Scheduler::ALL, threads, |_, &s| run(s));
         assert_eq!(got, golden, "{threads}-thread online sweep differs");
     }
 }
 
 /// A `Waves` arrival vector (sorted contiguous bursts since the contract
-/// fix) must run through every engine's `run_with_arrivals` without
-/// tripping the `arrivals must be sorted` assertion.
+/// fix) must run through every scheduler without tripping the `arrivals
+/// must be sorted` assertion.
 #[test]
 fn waves_arrivals_run_through_every_scheduler() {
     use tdpipe::workload::ArrivalProcess;
-    use tdpipe_bench::{run_scheduler_with_arrivals, Scheduler};
 
     let trace = ShareGptLikeConfig::small(48, 21).generate();
     let arrivals = ArrivalProcess::Waves {
@@ -207,16 +163,21 @@ fn waves_arrivals_run_through_every_scheduler() {
         interval_s: 15.0,
     }
     .sample(trace.len());
+    let workload = Workload::Requests {
+        trace: &trace,
+        arrivals: &arrivals,
+    };
     for s in Scheduler::ALL {
-        let r = run_scheduler_with_arrivals(
-            s,
-            &ModelSpec::llama2_13b(),
-            &NodeSpec::l20(2),
-            &trace,
-            &arrivals,
-            &OraclePredictor,
-        )
-        .expect("13B fits 2xL20");
+        let r = s
+            .run(
+                &ModelSpec::llama2_13b(),
+                &NodeSpec::l20(2),
+                &s.default_config(),
+                workload,
+                &OraclePredictor,
+            )
+            .expect("13B fits 2xL20")
+            .report;
         assert_eq!(r.num_requests, 48, "{}", s.name());
     }
 }
@@ -227,8 +188,6 @@ fn waves_arrivals_run_through_every_scheduler() {
 /// infinity, or mis-reporting a KV-capacity failure.
 #[test]
 fn cross_engine_arrival_rejection_is_uniform() {
-    use tdpipe_bench::{run_scheduler_with_arrivals, Scheduler};
-
     let trace = ShareGptLikeConfig::small(8, 33).generate();
     let mut arrivals = vec![0.0; trace.len()];
     arrivals[trace.len() - 1] = f64::INFINITY; // still sorted, never arrives
@@ -236,12 +195,14 @@ fn cross_engine_arrival_rejection_is_uniform() {
         let trace = trace.clone();
         let arrivals = arrivals.clone();
         let outcome = std::panic::catch_unwind(move || {
-            run_scheduler_with_arrivals(
-                s,
+            s.run(
                 &ModelSpec::llama2_13b(),
                 &NodeSpec::l20(2),
-                &trace,
-                &arrivals,
+                &s.default_config(),
+                Workload::Requests {
+                    trace: &trace,
+                    arrivals: &arrivals,
+                },
                 &OraclePredictor,
             )
         });

@@ -4,57 +4,23 @@
 //! the *direction* of every claim so a regression cannot silently flip a
 //! conclusion.
 
+use tdpipe::baselines::Scheduler;
 use tdpipe::core::cost::TpCost;
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
+use tdpipe::predictor::OraclePredictor;
+use tdpipe::workload::{ShareGptLikeConfig, Trace, Workload};
 
-
-// The bench crate isn't a dependency of the facade; re-implement the tiny
-// dispatch here against the public APIs.
-mod support {
-    use tdpipe::baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
-    use tdpipe::core::config::EngineConfig;
-    use tdpipe::core::{TdPipeConfig, TdPipeEngine};
-    use tdpipe::hw::NodeSpec;
-    use tdpipe::model::ModelSpec;
-    use tdpipe::predictor::OraclePredictor;
-    use tdpipe::workload::{ShareGptLikeConfig, Trace};
-
-    pub fn trace() -> Trace {
-        // Enough requests to create real memory pressure on 4-GPU nodes.
-        ShareGptLikeConfig::small(2_000, 42).generate()
-    }
-
-    pub fn tput(name: &str, model: &ModelSpec, node: &NodeSpec, trace: &Trace) -> Option<f64> {
-        let cfg = EngineConfig::default();
-        let r = match name {
-            "TP+SB" => TpSbEngine::new(model.clone(), node, cfg)
-                .ok()?
-                .run(trace, &OraclePredictor)
-                .report,
-            "TP+HB" => TpHbEngine::new(model.clone(), node, cfg)
-                .ok()?
-                .run(trace, &OraclePredictor)
-                .report,
-            "PP+SB" => PpSbEngine::new(model.clone(), node, cfg)
-                .ok()?
-                .run(trace, &OraclePredictor)
-                .report,
-            "PP+HB" => PpHbEngine::new(model.clone(), node, cfg)
-                .ok()?
-                .run(trace, &OraclePredictor)
-                .report,
-            "TD-Pipe" => TdPipeEngine::new(model.clone(), node, TdPipeConfig::default())
-                .ok()?
-                .run(trace, &OraclePredictor)
-                .report,
-            _ => unreachable!(),
-        };
-        Some(r.throughput_total())
-    }
+fn trace() -> Trace {
+    // Enough requests to create real memory pressure on 4-GPU nodes.
+    ShareGptLikeConfig::small(2_000, 42).generate()
 }
 
-use support::*;
+fn tput(s: Scheduler, model: &ModelSpec, node: &NodeSpec, trace: &Trace) -> Option<f64> {
+    let cfg = s.default_config();
+    let out = s.run(model, node, &cfg, Workload::offline(trace), &OraclePredictor).ok()?;
+    Some(out.report.throughput_total())
+}
 
 #[test]
 fn tdpipe_wins_at_four_gpus_on_every_feasible_combo() {
@@ -65,15 +31,16 @@ fn tdpipe_wins_at_four_gpus_on_every_feasible_combo() {
         (ModelSpec::qwen2_5_32b(), NodeSpec::a100(4)),
         (ModelSpec::llama2_70b(), NodeSpec::a100(4)),
     ] {
-        let td = tput("TD-Pipe", &model, &node, &trace).expect("feasible");
-        for b in ["TP+SB", "TP+HB", "PP+SB", "PP+HB"] {
+        let td = tput(Scheduler::TdPipe, &model, &node, &trace).expect("feasible");
+        for b in [Scheduler::TpSb, Scheduler::TpHb, Scheduler::PpSb, Scheduler::PpHb] {
             let base = tput(b, &model, &node, &trace).expect("feasible");
             assert!(
                 td > base,
-                "{} on {}x{}: TD {td:.0} vs {b} {base:.0}",
+                "{} on {}x{}: TD {td:.0} vs {} {base:.0}",
                 model.name,
                 node.num_gpus,
-                node.gpu.name
+                node.gpu.name,
+                b.name()
             );
         }
     }
@@ -87,8 +54,8 @@ fn pp_hybrid_batching_beats_pp_separate_batching() {
         (ModelSpec::llama2_13b(), NodeSpec::l20(4)),
         (ModelSpec::llama2_70b(), NodeSpec::a100(4)),
     ] {
-        let sb = tput("PP+SB", &model, &node, &trace).unwrap();
-        let hb = tput("PP+HB", &model, &node, &trace).unwrap();
+        let sb = tput(Scheduler::PpSb, &model, &node, &trace).unwrap();
+        let hb = tput(Scheduler::PpHb, &model, &node, &trace).unwrap();
         assert!(hb > sb * 0.98, "{}: hb {hb:.0} sb {sb:.0}", model.name);
     }
 }
@@ -103,8 +70,8 @@ fn tdpipe_scaling_2_to_4_is_at_least_superlinear_adjacent() {
         (ModelSpec::qwen2_5_32b(), NodeSpec::l20 as fn(u32) -> NodeSpec),
         (ModelSpec::llama2_70b(), NodeSpec::a100),
     ] {
-        let t2 = tput("TD-Pipe", &model, &node_fn(2), &trace).unwrap();
-        let t4 = tput("TD-Pipe", &model, &node_fn(4), &trace).unwrap();
+        let t2 = tput(Scheduler::TdPipe, &model, &node_fn(2), &trace).unwrap();
+        let t4 = tput(Scheduler::TdPipe, &model, &node_fn(4), &trace).unwrap();
         best = best.max(t4 / t2);
     }
     // At the full 5,000-request scale the bench harness measures
@@ -137,8 +104,8 @@ fn tp_gap_grows_from_l20_to_a100() {
     let trace = trace();
     let model = ModelSpec::qwen2_5_32b();
     let gap = |node: &NodeSpec| {
-        tput("TD-Pipe", &model, node, &trace).unwrap()
-            / tput("TP+SB", &model, node, &trace).unwrap()
+        tput(Scheduler::TdPipe, &model, node, &trace).unwrap()
+            / tput(Scheduler::TpSb, &model, node, &trace).unwrap()
     };
     let l20 = gap(&NodeSpec::l20(4));
     let a100 = gap(&NodeSpec::a100(4));

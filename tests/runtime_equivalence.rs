@@ -151,18 +151,20 @@ fn full_tdpipe_engine_runs_identically_on_real_threads() {
     )
     .unwrap();
 
-    let sim_out = engine.run_on(
+    let sim_out = engine.try_run_on(
         &trace,
         &[],
         &OraclePredictor,
         Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, false)),
-    );
-    let thr_out = engine.run_on(
+    )
+    .unwrap();
+    let thr_out = engine.try_run_on(
         &trace,
         &[],
         &OraclePredictor,
         Box::new(ThreadedExecutor::spawn(4, cfg.engine.transfer_mode, false)),
-    );
+    )
+    .unwrap();
 
     assert_eq!(sim_out.report.num_requests, thr_out.report.num_requests);
     assert_eq!(sim_out.report.output_tokens, thr_out.report.output_tokens);
@@ -194,18 +196,20 @@ fn threaded_engine_utilization_matches_sim() {
     cfg.engine.record_timeline = true;
     let engine =
         TdPipeEngine::new(ModelSpec::qwen2_5_32b(), &NodeSpec::a100(4), cfg.clone()).unwrap();
-    let sim_out = engine.run_on(
+    let sim_out = engine.try_run_on(
         &trace,
         &[],
         &OraclePredictor,
         Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, true)),
-    );
-    let thr_out = engine.run_on(
+    )
+    .unwrap();
+    let thr_out = engine.try_run_on(
         &trace,
         &[],
         &OraclePredictor,
         Box::new(ThreadedExecutor::spawn(4, cfg.engine.transfer_mode, true)),
-    );
+    )
+    .unwrap();
     assert!(
         (sim_out.report.mean_utilization - thr_out.report.mean_utilization).abs() < 1e-6,
         "sim {} vs threads {}",

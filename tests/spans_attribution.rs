@@ -23,7 +23,7 @@ use tdpipe::spans::{
     span_metrics, span_report_json, validate_bubble_report, validate_span_report,
 };
 use tdpipe::trace::TraceEvent;
-use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig};
+use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig, Workload};
 
 /// Always underpredicts, forcing §3.3 overadmission → evictions →
 /// recompute, so spans carry nonzero stall/recompute components.
@@ -56,7 +56,13 @@ fn traced_run(
     cfg.engine.record_timeline = true;
     TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(gpus), cfg)
         .unwrap()
-        .run_with_arrivals(&trace, &arrivals, predictor)
+        .run_workload(
+            Workload::Requests {
+                trace: &trace,
+                arrivals: &arrivals,
+            },
+            predictor,
+        )
 }
 
 /// Contract 1: every request's span components sum EXACTLY (bit-equal
