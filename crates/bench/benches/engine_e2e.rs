@@ -4,7 +4,7 @@
 //! well under a second, which is what makes the full sweep practical.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tdpipe_bench::Scheduler;
+use tdpipe_baselines::Scheduler;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OraclePredictor;

@@ -8,7 +8,8 @@
 //! extension buys on each configuration.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_combos, paper_trace, save_json, Scheduler};
+use tdpipe_baselines::Scheduler;
+use tdpipe_bench::{num_requests, paper_combos, paper_trace, save_json};
 use tdpipe_core::cost::PpCost;
 use tdpipe_core::TdPipeConfig;
 use tdpipe_predictor::OraclePredictor;

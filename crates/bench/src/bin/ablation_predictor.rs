@@ -10,7 +10,8 @@
 //! a systematically-underestimating predictor pays in recompute.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
+use tdpipe_baselines::Scheduler;
+use tdpipe_bench::{num_requests, paper_trace, save_json};
 use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;

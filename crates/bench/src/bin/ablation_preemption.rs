@@ -7,7 +7,8 @@
 //! admission) on the smallest-memory configurations.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
+use tdpipe_baselines::Scheduler;
+use tdpipe_bench::{num_requests, paper_trace, save_json};
 use tdpipe_core::{PreemptionMode, TdPipeConfig};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;

@@ -14,9 +14,8 @@
 //! paper's 5,000 requests.
 
 use serde::Serialize;
-use tdpipe_bench::{
-    num_requests, paper_combos, paper_trace, run_cells_parallel, save_json, Scheduler,
-};
+use tdpipe_baselines::Scheduler;
+use tdpipe_bench::{num_requests, paper_combos, paper_trace, run_cells_parallel, save_json};
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
 use tdpipe_workload::ShareGptLikeConfig;

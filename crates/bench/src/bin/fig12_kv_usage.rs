@@ -7,7 +7,8 @@
 //! occupancy is held only briefly, evidencing the AI-based greedy
 //! prefill's aggressive-but-safe admission.
 
-use tdpipe_bench::{num_requests, paper_trace, save_json, save_text, Scheduler};
+use tdpipe_baselines::Scheduler;
+use tdpipe_bench::{num_requests, paper_trace, save_json, save_text};
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;

@@ -5,7 +5,8 @@
 //! occupancy ratio, on both L20+32B and A100+70B at 4 GPUs.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
+use tdpipe_baselines::Scheduler;
+use tdpipe_bench::{num_requests, paper_trace, save_json};
 use tdpipe_core::{P2dPolicy, TdPipeConfig};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;

@@ -6,7 +6,8 @@
 //! highest throughput.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
+use tdpipe_baselines::Scheduler;
+use tdpipe_bench::{num_requests, paper_trace, save_json};
 use tdpipe_core::{D2pPolicy, TdPipeConfig};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;

@@ -7,7 +7,8 @@
 //! series (the figure's time axis), and exports Gantt CSVs from which the
 //! Figure 1 bubble anatomy can be plotted.
 
-use tdpipe_bench::{num_requests, paper_trace, save_text, Scheduler};
+use tdpipe_baselines::Scheduler;
+use tdpipe_bench::{num_requests, paper_trace, save_text};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OraclePredictor;

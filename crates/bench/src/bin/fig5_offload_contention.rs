@@ -9,7 +9,8 @@
 //! own memory and P2P links and scales cleanly.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, save_json, Scheduler};
+use tdpipe_baselines::Scheduler;
+use tdpipe_bench::{num_requests, paper_trace, save_json};
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;

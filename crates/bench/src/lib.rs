@@ -10,6 +10,7 @@
 
 use serde::Serialize;
 use std::path::PathBuf;
+use tdpipe_baselines::Scheduler;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
@@ -50,9 +51,6 @@ pub fn paper_combos() -> Vec<Combo> {
         ("A100+70B", ModelSpec::llama2_70b(), NodeSpec::a100),
     ]
 }
-
-/// The one scheduler table (TD-Pipe and the four baselines).
-pub use tdpipe_baselines::Scheduler;
 
 /// The lock-free parallel-map substrate every sweep in this crate runs on
 /// (and `tdpipe-fleet` reuses for replica execution): workers claim item

@@ -528,7 +528,7 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 return Err(td_only("--trace-out/--journal-out only record the TD-Pipe scheduler"));
             }
             let cfg = run_config(scheduler, want_metrics, recordings, reuse);
-            if fleet_mode {
+            let metrics = if fleet_mode {
                 let num_replicas = args.usize("replicas", 2)?;
                 if num_replicas == 0 {
                     return Err("--replicas: need at least one replica".into());
@@ -558,26 +558,28 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                         outcome.report.num_replicas
                     );
                 }
-                let metrics = match &trained {
-                    Some(p) if want_metrics => outcome
-                        .metrics
-                        .merged(ConfusionMatrix::compute(p, &trace).to_metrics()),
-                    _ => outcome.metrics,
-                };
                 print!("{}", outcome.report);
-                write_metrics_outputs(&metrics, metrics_out, prom_out)?;
-                return Ok(ExitCode::SUCCESS);
-            }
-            let (report, metrics) = run_cmd(
-                scheduler,
-                &model,
-                &node,
-                &cfg,
-                workload,
-                predictor,
-                trace_out,
-                journal_out,
-            )?;
+                outcome.metrics
+            } else {
+                let (report, metrics) = run_cmd(
+                    scheduler,
+                    &model,
+                    &node,
+                    &cfg,
+                    workload,
+                    predictor,
+                    trace_out,
+                    journal_out,
+                )?;
+                println!("{report}");
+                if let Some(l) = report.latency {
+                    println!(
+                        "latency: TTFT mean {:.1}s p99 {:.1}s | completion p50 {:.1}s p99 {:.1}s",
+                        l.ttft_mean, l.ttft_p99, l.completion_p50, l.completion_p99
+                    );
+                }
+                metrics
+            };
             // Fold the predictor's per-bucket hit/miss counters into the
             // export when a trained predictor steered the run.
             let metrics = match &trained {
@@ -586,13 +588,6 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 }
                 _ => metrics,
             };
-            println!("{report}");
-            if let Some(l) = report.latency {
-                println!(
-                    "latency: TTFT mean {:.1}s p99 {:.1}s | completion p50 {:.1}s p99 {:.1}s",
-                    l.ttft_mean, l.ttft_p99, l.completion_p50, l.completion_p99
-                );
-            }
             write_metrics_outputs(&metrics, metrics_out, prom_out)?;
         }
         "plan" => {
