@@ -10,13 +10,13 @@
 //! cargo run --release --example commodity_hardware
 //! ```
 
-use tdpipe::baselines::TpSbEngine;
+use tdpipe::baselines::Scheduler;
 use tdpipe::core::config::EngineConfig;
-use tdpipe::core::{MemoryPlan, TdPipeConfig, TdPipeEngine};
+use tdpipe::core::MemoryPlan;
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::workload::ShareGptLikeConfig;
+use tdpipe::workload::{ShareGptLikeConfig, Workload};
 
 fn main() {
     let trace = ShareGptLikeConfig::small(2_000, 42).generate();
@@ -27,7 +27,12 @@ fn main() {
     );
     println!(
         "{:<10} {:>5} {:>12} {:>12} {:>12} {:>10}",
-        "node", "gpus", "PP capacity", "TD-Pipe", "TP+SB", "TD/TP"
+        "node",
+        "gpus",
+        "PP capacity",
+        Scheduler::TdPipe.name(),
+        Scheduler::TpSb.name(),
+        "TD/TP"
     );
 
     for (name, node_fn) in [
@@ -38,12 +43,13 @@ fn main() {
             let node = node_fn(gpus);
             let e = EngineConfig::default();
             let cap = MemoryPlan::pipeline(&model, &node, e.block_size, e.mem_reserve_bytes);
-            let td = TdPipeEngine::new(model.clone(), &node, TdPipeConfig::default())
-                .ok()
-                .map(|e| e.run(&trace, &OraclePredictor).report.throughput_total());
-            let tp = TpSbEngine::new(model.clone(), &node, e)
-                .ok()
-                .map(|e| e.run(&trace, &OraclePredictor).report.throughput_total());
+            let tput = |s: Scheduler| {
+                let cfg = s.default_config();
+                s.run(&model, &node, &cfg, Workload::offline(&trace), &OraclePredictor)
+                    .ok()
+                    .map(|out| out.report.throughput_total())
+            };
+            let (td, tp) = (tput(Scheduler::TdPipe), tput(Scheduler::TpSb));
             let cap_s = cap
                 .map(|c| format!("{} tok", c.token_capacity()))
                 .unwrap_or_else(|| "no fit".into());
